@@ -97,12 +97,12 @@ pub fn run(quick: bool) -> Vec<Table> {
                         max_late.to_string(),
                     ]
                 } else {
-                    let stats = Arc::new(Mutex::new(dtm_core::DistStats::default()));
+                    let trace = dtm_telemetry::decision_trace();
                     let res = run_policy(
                         &net,
                         src,
                         DistributedBucketPolicy::new(&net, ListScheduler::fifo(), 23)
-                            .with_stats(Arc::clone(&stats)),
+                            .with_decision_trace(Arc::clone(&trace)),
                         DistributedBucketPolicy::<ListScheduler>::engine_config(),
                     );
                     res.expect_ok();
@@ -117,7 +117,12 @@ pub fn run(quick: bool) -> Vec<Table> {
                     .unwrap();
                     let ratio = competitive_ratio(&net, &res);
                     let (mean_late, max_late) = lateness(&res);
-                    let messages = stats.lock().messages;
+                    let messages: u64 = trace
+                        .lock()
+                        .decisions
+                        .iter()
+                        .map(|d| d.kind.messages())
+                        .sum();
                     vec![
                         net.name().to_string(),
                         "idealized".into(),

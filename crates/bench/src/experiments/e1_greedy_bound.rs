@@ -10,12 +10,27 @@
 
 use crate::table::fmt_ratio;
 use crate::{ParallelGrid, Table};
-use dtm_core::{GreedyPolicy, GreedyStats};
+use dtm_core::GreedyPolicy;
 use dtm_graph::{topology, Network};
-use dtm_model::{FiniteArrivals, ObjectChoice, TraceSource, WorkloadGenerator, WorkloadSpec};
+use dtm_model::{
+    FiniteArrivals, ObjectChoice, Time, TraceSource, TxnId, WorkloadGenerator, WorkloadSpec,
+};
 use dtm_sim::{run_policy, EngineConfig};
-use parking_lot::Mutex;
+use dtm_telemetry::{decision_trace, DecisionKind, DecisionTraceHandle};
 use std::sync::Arc;
+
+/// `(txn, color, theorem bound)` of every greedy coloring in `trace`.
+fn colorings(trace: &DecisionTraceHandle) -> Vec<(TxnId, Time, Time)> {
+    trace
+        .lock()
+        .decisions
+        .iter()
+        .filter_map(|d| match d.kind {
+            DecisionKind::GreedyColor { color, bound, .. } => Some((d.txn, color, bound)),
+            _ => None,
+        })
+        .collect()
+}
 
 fn workload(net: &Network, k: usize, seed: u64) -> dtm_model::Instance {
     let spec = WorkloadSpec {
@@ -55,9 +70,9 @@ pub fn run(quick: bool) -> Vec<Table> {
     for net in &topologies {
         let seeds = &seeds;
         grid1.cell(move || {
-            // Stats are per-cell: each topology accumulates its own
-            // GreedyStats across its seeds, so cells stay independent.
-            let stats = Arc::new(Mutex::new(GreedyStats::default()));
+            // Traces are per-cell: each topology accumulates its own
+            // decisions across its seeds, so cells stay independent.
+            let trace = decision_trace();
             let mut txns = 0usize;
             for &seed in seeds {
                 let inst = workload(net, 3, seed);
@@ -65,21 +80,20 @@ pub fn run(quick: bool) -> Vec<Table> {
                 let res = run_policy(
                     net,
                     TraceSource::new(inst),
-                    GreedyPolicy::new().with_stats(Arc::clone(&stats)),
+                    GreedyPolicy::new().with_decision_trace(Arc::clone(&trace)),
                     EngineConfig::default(),
                 );
                 res.expect_ok();
             }
-            let s = stats.lock();
-            let max_color = s.assigned.iter().map(|&(_, c, _)| c).max().unwrap_or(0);
-            let max_bound = s.assigned.iter().map(|&(_, _, b)| b).max().unwrap_or(0);
-            let worst = s
-                .assigned
+            let assigned = colorings(&trace);
+            let max_color = assigned.iter().map(|&(_, c, _)| c).max().unwrap_or(0);
+            let max_bound = assigned.iter().map(|&(_, _, b)| b).max().unwrap_or(0);
+            let worst = assigned
                 .iter()
                 .filter(|&&(_, _, b)| b > 0)
                 .map(|&(_, c, b)| c as f64 / b as f64)
                 .fold(0.0f64, f64::max);
-            let violations = s.assigned.iter().filter(|&&(_, c, b)| c > b).count();
+            let violations = assigned.iter().filter(|&&(_, c, b)| c > b).count();
             vec![
                 net.name().to_string(),
                 txns.to_string(),
@@ -114,7 +128,7 @@ pub fn run(quick: bool) -> Vec<Table> {
     for (net, beta) in &uniform_cases {
         let seeds = &seeds;
         grid2.cell(move || {
-            let stats = Arc::new(Mutex::new(GreedyStats::default()));
+            let trace = decision_trace();
             let mut txns = 0usize;
             for &seed in seeds {
                 let inst = workload(net, 2, seed);
@@ -122,24 +136,23 @@ pub fn run(quick: bool) -> Vec<Table> {
                 let res = run_policy(
                     net,
                     TraceSource::new(inst),
-                    GreedyPolicy::uniform(*beta).with_stats(Arc::clone(&stats)),
+                    GreedyPolicy::uniform(*beta).with_decision_trace(Arc::clone(&trace)),
                     EngineConfig::default(),
                 );
                 res.expect_ok();
             }
-            let s = stats.lock();
-            let max_color = s.assigned.iter().map(|&(_, c, _)| c).max().unwrap_or(0);
-            let worst = s
-                .assigned
+            let assigned = colorings(&trace);
+            let max_color = assigned.iter().map(|&(_, c, _)| c).max().unwrap_or(0);
+            let worst = assigned
                 .iter()
                 .filter(|&&(_, _, b)| b > 0)
                 .map(|&(_, c, b)| c as f64 / b as f64)
                 .fold(0.0f64, f64::max);
-            let violations = s.assigned.iter().filter(|&&(_, c, b)| c > b).count();
+            let violations = assigned.iter().filter(|&&(_, c, b)| c > b).count();
             // Colors are offsets from arrival; absolute execution times are
             // the β-multiples (checked by the greedy unit tests), so here we
             // only require positivity.
-            assert!(s.assigned.iter().all(|&(_, c, _)| c >= 1));
+            assert!(assigned.iter().all(|&(_, c, _)| c >= 1));
             vec![
                 net.name().to_string(),
                 beta.to_string(),

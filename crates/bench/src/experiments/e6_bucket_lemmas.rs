@@ -7,20 +7,35 @@
 
 use crate::table::fmt_ratio;
 use crate::{ParallelGrid, Table};
-use dtm_core::{BucketPolicy, BucketStats};
+use dtm_core::BucketPolicy;
 use dtm_graph::{topology, Network};
-use dtm_model::{FiniteArrivals, ObjectChoice, TraceSource, WorkloadGenerator, WorkloadSpec};
+use dtm_model::{
+    FiniteArrivals, ObjectChoice, Time, TraceSource, TxnId, WorkloadGenerator, WorkloadSpec,
+};
 use dtm_offline::{BatchScheduler, LineScheduler, ListScheduler};
 use dtm_sim::{run_policy, EngineConfig, RunResult};
-use parking_lot::Mutex;
+use dtm_telemetry::{decision_trace, DecisionKind, DecisionTrace};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+
+/// `(txn, insertion time, level, overflow)` of every bucket insertion.
+fn insertions(trace: &DecisionTrace) -> Vec<(TxnId, Time, u32, bool)> {
+    trace
+        .decisions
+        .iter()
+        .filter_map(|d| match d.kind {
+            DecisionKind::BucketInsert { level, overflow } => Some((d.txn, d.t, level, overflow)),
+            _ => None,
+        })
+        .collect()
+}
 
 fn run_one<A: BatchScheduler>(
     net: &Network,
     scheduler: A,
     seed: u64,
     rate: f64,
-) -> (RunResult, BucketStats) {
+) -> (RunResult, DecisionTrace) {
     let spec = WorkloadSpec {
         num_objects: (net.n() as u32 / 3).max(2),
         k: 2,
@@ -28,16 +43,16 @@ fn run_one<A: BatchScheduler>(
         arrival: FiniteArrivals::Bernoulli { rate, horizon: 40 },
     };
     let inst = WorkloadGenerator::new(spec, seed).generate(net);
-    let stats = Arc::new(Mutex::new(BucketStats::default()));
+    let trace = decision_trace();
     let res = run_policy(
         net,
         TraceSource::new(inst),
-        BucketPolicy::new(scheduler).with_stats(Arc::clone(&stats)),
+        BucketPolicy::new(scheduler).with_decision_trace(Arc::clone(&trace)),
         EngineConfig::default(),
     );
     res.expect_ok();
-    let s = stats.lock().clone();
-    (res, s)
+    let trace = trace.lock().clone();
+    (res, trace)
 }
 
 /// Run E6/E7.
@@ -63,18 +78,19 @@ pub fn run(quick: bool) -> Vec<Table> {
     let mut grid = ParallelGrid::new("E6");
     for (net, use_line) in cases {
         grid.cell(move || {
-            let (res, stats) = if use_line {
+            let (res, trace) = if use_line {
                 run_one(&net, LineScheduler, 5, rate)
             } else {
                 run_one(&net, ListScheduler::fifo(), 5, rate)
             };
+            let inserts = insertions(&trace);
             let bound = net.max_bucket_level();
-            let max_level = stats.levels.values().copied().max().unwrap_or(0);
+            let max_level = inserts.iter().map(|&(_, _, l, _)| l).max().unwrap_or(0);
             assert!(max_level <= bound, "Lemma 3 violated on {}", net.name());
+            let overflows = inserts.iter().filter(|&&(.., o)| o).count();
             // Lemma 4: worst utilization of the deadline budget.
             let mut worst = 0.0f64;
-            for (&id, &lvl) in &stats.levels {
-                let inserted = stats.inserted_at[&id];
+            for &(id, inserted, lvl, _) in &inserts {
                 let commit = res.commits[&id];
                 let deadline = (lvl as u64 + 1) * (1u64 << (lvl + 2));
                 let used = (commit - inserted) as f64 / deadline as f64;
@@ -87,10 +103,10 @@ pub fn run(quick: bool) -> Vec<Table> {
             }
             vec![
                 net.name().to_string(),
-                stats.levels.len().to_string(),
+                inserts.len().to_string(),
                 max_level.to_string(),
                 bound.to_string(),
-                stats.overflows.to_string(),
+                overflows.to_string(),
                 fmt_ratio(worst),
             ]
         });
@@ -104,22 +120,24 @@ pub fn run(quick: bool) -> Vec<Table> {
         "E6 — bucket level distribution, line(64), Bernoulli arrivals",
         &["level", "txns inserted", "activations"],
     );
-    let (_, stats) = run_one(&topology::line(64), LineScheduler, 6, rate);
-    let mut counts: std::collections::BTreeMap<u32, usize> = Default::default();
-    for &lvl in stats.levels.values() {
+    let (_, trace) = run_one(&topology::line(64), LineScheduler, 6, rate);
+    let mut counts: BTreeMap<u32, usize> = BTreeMap::new();
+    for (_, _, lvl, _) in insertions(&trace) {
         *counts.entry(lvl).or_insert(0) += 1;
     }
+    // A non-empty activation is one (level, step) with BucketActivate
+    // decisions.
+    let activations: BTreeSet<(u32, Time)> = trace
+        .decisions
+        .iter()
+        .filter_map(|d| match d.kind {
+            DecisionKind::BucketActivate { level, .. } => Some((level, d.t)),
+            _ => None,
+        })
+        .collect();
     for (lvl, cnt) in counts {
-        hist.row(vec![
-            lvl.to_string(),
-            cnt.to_string(),
-            stats
-                .activations
-                .get(&lvl)
-                .copied()
-                .unwrap_or(0)
-                .to_string(),
-        ]);
+        let fired = activations.iter().filter(|&&(l, _)| l == lvl).count();
+        hist.row(vec![lvl.to_string(), cnt.to_string(), fired.to_string()]);
     }
     vec![t, hist]
 }

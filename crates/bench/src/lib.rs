@@ -2,15 +2,16 @@
 //!
 //! Experiment harness reproducing, as measurements, every theorem-level
 //! claim of Busch et al., IPDPS 2020 (the paper has no empirical section;
-//! EXPERIMENTS.md defines the experiment suite E1–E17 and ablations
+//! EXPERIMENTS.md defines the experiment suite E1–E18 and ablations
 //! A1–A5 and records the results).
 //!
-//! Each experiment is a module in [`experiments`] with a binary target
-//! (`exp_e1` … `exp_all`); run them in release mode:
+//! Each experiment is a module in [`experiments`] with an entry in its
+//! [`experiments::REGISTRY`]; the one `exp` binary runs an entry by id,
+//! or all of them. Run it in release mode:
 //!
 //! ```text
-//! cargo run -p dtm-bench --release --bin exp_all
-//! cargo run -p dtm-bench --release --bin exp_e3 -- --quick --jobs 4
+//! cargo run -p dtm-bench --release --bin exp -- all
+//! cargo run -p dtm-bench --release --bin exp -- e3 --quick --jobs 4
 //! ```
 //!
 //! Experiment grids fan out across a thread pool via [`ParallelGrid`];

@@ -20,12 +20,13 @@
 //! Simulation fidelity note (documented in DESIGN.md): message *timing*
 //! (discovery `3x`, report distance, notification distance) and the
 //! half-speed object rule are modeled exactly and every message is
-//! counted; leader-local *knowledge* is taken from the global state at
-//! the leader's decision time. Sub-layer partition properties guarantee
-//! non-interference in the paper (Lemma 6 / Corollary 1); here leaders
-//! activating at the same step are processed in deterministic height
-//! order, each seeing the previous leaders' output as fixed — the
-//! centralized simulation of the same serialization.
+//! counted in the decision trace; leader-local *knowledge* is taken from
+//! the global state at the leader's decision time. Sub-layer partition
+//! properties guarantee non-interference in the paper (Lemma 6 /
+//! Corollary 1); here leaders activating at the same step are processed
+//! in deterministic height order, each seeing the previous leaders'
+//! output as fixed — the centralized simulation of the same
+//! serialization.
 
 use crate::conflict::ConflictCache;
 use crate::viewctx::FixedCache;
@@ -34,26 +35,7 @@ use dtm_model::{Schedule, Time, Transaction, TxnId};
 use dtm_offline::BatchScheduler;
 use dtm_sim::{EngineConfig, SchedulingPolicy, SystemView};
 use dtm_telemetry::{Decision, DecisionKind, DecisionTraceHandle};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::Arc;
-
-/// Observability for experiment E11.
-#[derive(Clone, Debug, Default)]
-pub struct DistStats {
-    /// Total protocol messages (discovery round trips, conflict reports,
-    /// leader reports, schedule notifications).
-    pub messages: u64,
-    /// Reports per cover layer.
-    // dtm-lint: bounded -- keyed by cover layer; the sparse cover has O(log n) layers
-    pub reports_per_layer: BTreeMap<u32, u64>,
-    /// Partial-bucket level per transaction.
-    // dtm-lint: bounded -- experiment-scoped stats (Retention::Full runs); streaming runs leave stats detached
-    pub levels: BTreeMap<TxnId, u32>,
-    /// Per-transaction protocol latency (arrival to report arrival).
-    // dtm-lint: bounded -- experiment-scoped stats (Retention::Full runs); streaming runs leave stats detached
-    pub report_latency: Vec<Time>,
-}
 
 /// A transaction in flight between arrival and its report reaching the
 /// cluster leader.
@@ -70,8 +52,8 @@ struct PendingReport {
 /// Algorithm 3, generic over the offline batch scheduler `𝒜`.
 ///
 /// `Clone` (for [`dtm_sim::SchedulingPolicy::fork`] checkpoints)
-/// captures the in-flight reports, partial buckets and caches; attached
-/// stats/decision/counter handles are shared, not duplicated.
+/// captures the in-flight reports, partial buckets and caches; an
+/// attached decision trace is shared, not duplicated.
 ///
 /// **Boundedness (open-system audit).** `reporting` entries are removed
 /// when their arrival step is processed and `partials` drain at each
@@ -98,10 +80,7 @@ pub struct DistributedBucketPolicy<A> {
     /// *carried in the report* (stale by the protocol latency) instead of
     /// fresh global state — stricter locality of knowledge (ablation A5).
     stale_knowledge: bool,
-    stats: Option<Arc<Mutex<DistStats>>>,
     decisions: Option<DecisionTraceHandle>,
-    /// Live protocol-message counter (telemetry registry handle).
-    msg_counter: Option<Arc<dtm_telemetry::Counter>>,
     cache: FixedCache,
     /// Incremental conflict pairs + memoized distances for the discovery
     /// phase (conflict radius and per-conflict message counts).
@@ -132,25 +111,17 @@ impl<A: BatchScheduler> DistributedBucketPolicy<A> {
             reporting: BTreeMap::new(),
             partials: BTreeMap::new(),
             stale_knowledge: false,
-            stats: None,
             decisions: None,
-            msg_counter: None,
             cache: FixedCache::default(),
             conflicts: ConflictCache::default(),
         }
     }
 
-    /// Count every protocol message on a live telemetry counter (e.g.
-    /// `registry.counter("dist_messages_total")`).
-    pub fn with_message_counter(mut self, counter: Arc<dtm_telemetry::Counter>) -> Self {
-        self.msg_counter = Some(counter);
-        self
-    }
-
     /// Record the protocol's per-transaction decisions
     /// ([`DecisionKind::DistReport`], [`DecisionKind::DistInsert`],
     /// [`DecisionKind::DistActivate`]) into `trace` (the caller keeps the
-    /// other `Arc` end).
+    /// other `Arc` end). The trace also carries the protocol's message
+    /// count: see [`DecisionKind::messages`].
     pub fn with_decision_trace(mut self, trace: DecisionTraceHandle) -> Self {
         self.decisions = Some(trace);
         self
@@ -161,12 +132,6 @@ impl<A: BatchScheduler> DistributedBucketPolicy<A> {
     /// strictly more local model of leader knowledge.
     pub fn with_stale_knowledge(mut self) -> Self {
         self.stale_knowledge = true;
-        self
-    }
-
-    /// Attach a stats handle.
-    pub fn with_stats(mut self, stats: Arc<Mutex<DistStats>>) -> Self {
-        self.stats = Some(stats);
         self
     }
 
@@ -192,15 +157,6 @@ impl<A: BatchScheduler> DistributedBucketPolicy<A> {
     /// The sparse cover in use (for tests / reports).
     pub fn cover(&self) -> &SparseCover {
         &self.cover
-    }
-
-    fn bump_messages(&self, by: u64) {
-        if let Some(stats) = &self.stats {
-            stats.lock().messages += by;
-        }
-        if let Some(c) = &self.msg_counter {
-            c.add(by);
-        }
     }
 }
 
@@ -242,14 +198,6 @@ impl<A: BatchScheduler> SchedulingPolicy for DistributedBucketPolicy<A> {
             let discovery_delay = 3 * x;
             let report_delay = view.network.distance(txn.home, leader);
             let t_report = now + discovery_delay + report_delay;
-            // Messages: discovery round trip per object, one conflict
-            // notice per conflicting txn, one report.
-            self.bump_messages(2 * txn.k() as u64 + n_conflicts as u64 + 1);
-            if let Some(stats) = &self.stats {
-                let mut s = stats.lock();
-                *s.reports_per_layer.entry(layer).or_insert(0) += 1;
-                s.report_latency.push(t_report - now);
-            }
             if let Some(trace) = &self.decisions {
                 trace.lock().push(Decision {
                     t: now,
@@ -259,6 +207,9 @@ impl<A: BatchScheduler> SchedulingPolicy for DistributedBucketPolicy<A> {
                         layer,
                         cluster: cluster.id.0 as u64,
                         report_latency: t_report - now,
+                        // Discovery round trip per object, one conflict
+                        // notice per conflicting txn, one report.
+                        messages: 2 * txn.k() as u64 + n_conflicts as u64 + 1,
                     },
                 });
             }
@@ -319,9 +270,6 @@ impl<A: BatchScheduler> SchedulingPolicy for DistributedBucketPolicy<A> {
                     }
                 }
                 let level = chosen.unwrap_or(max_level);
-                if let Some(stats) = &self.stats {
-                    stats.lock().levels.insert(report.txn.id, level);
-                }
                 if let Some(trace) = &self.decisions {
                     trace.lock().push(Decision {
                         t: now,
@@ -364,7 +312,6 @@ impl<A: BatchScheduler> SchedulingPolicy for DistributedBucketPolicy<A> {
                 .map(|t| view.network.distance(leader, t.home))
                 .max()
                 .unwrap_or(0);
-            self.bump_messages(bucket.len() as u64);
             let mut bucket_ctx = ctx.clone(); // dtm-lint: allow(H1) -- one context copy per activated bucket for its notify offset
             bucket_ctx.now = now + notify;
             let s = self.scheduler.schedule(&self.doubled, &bucket, &bucket_ctx);
@@ -406,6 +353,8 @@ mod tests {
     };
     use dtm_offline::ListScheduler;
     use dtm_sim::{run_policy, validate_events, ValidationConfig};
+    use dtm_telemetry::decision_trace;
+    use std::sync::Arc;
 
     fn dist_validation() -> ValidationConfig {
         ValidationConfig {
@@ -453,9 +402,9 @@ mod tests {
         };
         let inst = WorkloadGenerator::new(spec, 5).generate(&net);
         let n = inst.num_txns();
-        let stats = Arc::new(Mutex::new(DistStats::default()));
+        let trace = decision_trace();
         let policy = DistributedBucketPolicy::new(&net, ListScheduler::fifo(), 2)
-            .with_stats(Arc::clone(&stats));
+            .with_decision_trace(Arc::clone(&trace));
         let res = run_policy(
             &net,
             TraceSource::new(inst),
@@ -465,10 +414,19 @@ mod tests {
         res.expect_ok();
         validate_events(&net, &res, &dist_validation()).unwrap();
         assert_eq!(res.metrics.committed, n);
-        let s = stats.lock();
+        let trace = trace.lock();
         if n > 0 {
-            assert!(s.messages > 0, "protocol must exchange messages");
-            assert_eq!(s.levels.len(), n);
+            let messages: u64 = trace.decisions.iter().map(|d| d.kind.messages()).sum();
+            assert!(messages > 0, "protocol must exchange messages");
+            let levels: BTreeMap<TxnId, u32> = trace
+                .decisions
+                .iter()
+                .filter_map(|d| match d.kind {
+                    DecisionKind::DistInsert { level, .. } => Some((d.txn, level)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(levels.len(), n);
         }
     }
 
@@ -512,9 +470,9 @@ mod tests {
                 Transaction::new(TxnId(1), NodeId(17), [ObjectId(1)], 0), // near: y small
             ],
         );
-        let stats = Arc::new(Mutex::new(DistStats::default()));
+        let trace = decision_trace();
         let policy = DistributedBucketPolicy::new(&net, ListScheduler::fifo(), 4)
-            .with_stats(Arc::clone(&stats));
+            .with_decision_trace(Arc::clone(&trace));
         let res = run_policy(
             &net,
             TraceSource::new(inst),
@@ -522,8 +480,15 @@ mod tests {
             DistributedBucketPolicy::<ListScheduler>::engine_config(),
         );
         res.expect_ok();
-        let s = stats.lock();
-        let layers: Vec<u32> = s.reports_per_layer.keys().copied().collect();
+        let layers: std::collections::BTreeSet<u32> = trace
+            .lock()
+            .decisions
+            .iter()
+            .filter_map(|d| match d.kind {
+                DecisionKind::DistReport { layer, .. } => Some(layer),
+                _ => None,
+            })
+            .collect();
         assert!(layers.len() >= 2, "far and near txns use different layers");
         assert!(*layers.last().unwrap() >= 5); // 2^5 - 1 = 31 covers y=31
     }

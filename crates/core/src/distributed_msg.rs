@@ -122,8 +122,6 @@ pub struct DistributedMsgPolicy<A> {
     // dtm-lint: bounded -- retained entries filtered to live transactions at the top of step()
     leader_fixed: BTreeMap<ClusterId, Vec<(Transaction, Time)>>,
     stats: Option<Arc<Mutex<MsgStats>>>,
-    /// Live protocol-message counter (telemetry registry handle).
-    msg_counter: Option<Arc<dtm_telemetry::Counter>>,
 }
 
 fn double_weights(network: &Network) -> Network {
@@ -150,20 +148,12 @@ impl<A: BatchScheduler> DistributedMsgPolicy<A> {
             partials: BTreeMap::new(),
             leader_fixed: BTreeMap::new(),
             stats: None,
-            msg_counter: None,
         }
     }
 
     /// Attach a stats handle.
     pub fn with_stats(mut self, stats: Arc<Mutex<MsgStats>>) -> Self {
         self.stats = Some(stats);
-        self
-    }
-
-    /// Count every protocol message on a live telemetry counter (e.g.
-    /// `registry.counter("dist_messages_total")`).
-    pub fn with_message_counter(mut self, counter: Arc<dtm_telemetry::Counter>) -> Self {
-        self.msg_counter = Some(counter);
         self
     }
 
@@ -186,9 +176,6 @@ impl<A: BatchScheduler> DistributedMsgPolicy<A> {
 
     fn send(&mut self, at: Time, msg: Msg) {
         self.bump(|s| s.messages += 1);
-        if let Some(c) = &self.msg_counter {
-            c.inc();
-        }
         self.inbox.entry(at).or_default().push(msg);
     }
 
@@ -476,9 +463,6 @@ impl<A: BatchScheduler> SchedulingPolicy for DistributedMsgPolicy<A> {
                 .max()
                 .unwrap_or(0);
             self.bump(|s| s.messages += members.len() as u64);
-            if let Some(c) = &self.msg_counter {
-                c.add(members.len() as u64);
-            }
             // Leader-local context from carried info + own history.
             let mut ctx = BatchContext {
                 now: now + notify,

@@ -36,6 +36,14 @@
 //! simple centralized coordinator, which charges every decision a
 //! round-trip to a designated node).
 //!
+//! Every policy reports what it decided through one channel: attach a
+//! [`DecisionTraceHandle`] with `with_decision_trace` and the policy
+//! appends one [`Decision`] per choice — the
+//! greedy color and its Theorem 1/2 bound, the bucket level and insertion
+//! time behind Lemmas 3 and 4, the distributed protocol's cover layer,
+//! report latency and message count. The experiments and theorem tests
+//! read their per-transaction facts from that trace.
+//!
 //! # Example
 //!
 //! Run Algorithm 1 on a random online workload over a hypercube and check
@@ -82,7 +90,7 @@ pub mod greedy;
 pub mod viewctx;
 
 pub use adaptive::{AutoPolicy, RandomizedBackoffPolicy};
-pub use bucket::{BucketPolicy, BucketStats};
+pub use bucket::BucketPolicy;
 pub use centralized::CentralizedWrapper;
 pub use coloring::{
     smallest_valid_color, smallest_valid_color_into, smallest_valid_color_uniform,
@@ -90,8 +98,12 @@ pub use coloring::{
 };
 pub use conflict::ConflictCache;
 pub use dependency::{constraints_for, extended_degrees, ExtendedDegrees};
-pub use distributed::{DistStats, DistributedBucketPolicy};
+pub use distributed::DistributedBucketPolicy;
 pub use distributed_msg::{DistributedMsgPolicy, MsgStats};
+/// The decision vocabulary every policy's `with_decision_trace` records.
+pub use dtm_telemetry::{
+    decision_trace, Decision, DecisionKind, DecisionTrace, DecisionTraceHandle,
+};
 pub use fifo::{FifoPolicy, TspPolicy};
-pub use greedy::{GreedyMode, GreedyPolicy, GreedyStats};
+pub use greedy::{GreedyMode, GreedyPolicy};
 pub use viewctx::{batch_context_from_view, FixedCache};

@@ -33,10 +33,9 @@ pub trait SchedulingPolicy {
     ///
     /// The default is a plain clone, which is correct for every policy
     /// whose state is fully owned (including seeded RNGs — cloning
-    /// preserves the stream position). Policies holding shared handles
-    /// (stats sinks, decision traces) clone the handle, so a fork keeps
-    /// feeding the *same* sink; override if a checkpoint should detach
-    /// them.
+    /// preserves the stream position). Policies holding a shared handle
+    /// (a decision trace) clone the handle, so a fork keeps feeding the
+    /// *same* trace; override if a checkpoint should detach it.
     fn fork(&self) -> Self
     where
         Self: Sized + Clone,

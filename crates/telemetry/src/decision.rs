@@ -63,6 +63,10 @@ pub enum DecisionKind {
         cluster: u64,
         /// Steps from arrival until the report reached the leader.
         report_latency: Time,
+        /// Protocol messages the arrival's discovery and report cost: a
+        /// round trip per object, one notice per conflicting transaction
+        /// and the report itself (`2k + conflicts + 1`).
+        messages: u64,
     },
     /// Algorithm 3: a leader parked the transaction in a partial bucket.
     DistInsert {
@@ -72,7 +76,8 @@ pub enum DecisionKind {
         cluster: u64,
     },
     /// Algorithm 3: a partial-bucket activation assigned the execution
-    /// time.
+    /// time. Each one stands for the leader's notification message to the
+    /// transaction's home.
     DistActivate {
         /// Activated partial-bucket level.
         level: u32,
@@ -106,6 +111,18 @@ impl DecisionKind {
             DecisionKind::DistInsert { .. } => "dist-insert",
             DecisionKind::DistActivate { .. } => "dist-activate",
             DecisionKind::Backoff { .. } => "backoff",
+        }
+    }
+
+    /// Protocol messages this decision stands for: the discovery and
+    /// report cost of a [`DecisionKind::DistReport`], one notification per
+    /// [`DecisionKind::DistActivate`], none otherwise. Summed over a trace
+    /// it is Algorithm 3's total message count.
+    pub fn messages(&self) -> u64 {
+        match self {
+            DecisionKind::DistReport { messages, .. } => *messages,
+            DecisionKind::DistActivate { .. } => 1,
+            _ => 0,
         }
     }
 }
@@ -186,7 +203,7 @@ impl DecisionTrace {
 }
 
 /// Shared handle a policy writes through while the caller keeps the other
-/// end (the same `Arc<Mutex<_>>` convention as the policy stats handles).
+/// end. It is the one record of what a `dtm-core` policy decided.
 pub type DecisionTraceHandle = Arc<Mutex<DecisionTrace>>;
 
 /// Fresh empty handle.

@@ -11,12 +11,12 @@
 //! cargo run -p dtm-examples --release --bin cluster_datastore
 //! ```
 
-use dtm_core::{BucketPolicy, BucketStats, FifoPolicy};
+use dtm_core::{decision_trace, BucketPolicy, DecisionKind, FifoPolicy};
 use dtm_graph::topology;
 use dtm_model::{ClosedLoopSource, ObjectChoice, WorkloadSpec};
 use dtm_offline::ClusterScheduler;
 use dtm_sim::{run_policy, EngineConfig};
-use parking_lot::Mutex;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 fn main() {
@@ -36,12 +36,12 @@ fn main() {
     };
 
     // Bucket(cluster) — Algorithm 2 around the SPAA'17-style substrate.
-    let stats = Arc::new(Mutex::new(BucketStats::default()));
+    let trace = decision_trace();
     let src = ClosedLoopSource::new(network.clone(), spec.clone(), 3, 11);
     let bucket = run_policy(
         &network,
         src,
-        BucketPolicy::new(ClusterScheduler::default()).with_stats(Arc::clone(&stats)),
+        BucketPolicy::new(ClusterScheduler::default()).with_decision_trace(Arc::clone(&trace)),
         EngineConfig::default(),
     );
     bucket.expect_ok();
@@ -63,18 +63,29 @@ fn main() {
         );
     }
 
-    let s = stats.lock();
     println!(
         "\nbucket telemetry (Lemma 3 bound: level <= {}):",
         network.max_bucket_level()
     );
-    let mut per_level: std::collections::BTreeMap<u32, usize> = Default::default();
-    for &lvl in s.levels.values() {
-        *per_level.entry(lvl).or_insert(0) += 1;
+    // Per level: transactions inserted, and the distinct steps at which
+    // the level's bucket fired non-empty.
+    let mut per_level: BTreeMap<u32, (usize, BTreeSet<u64>)> = BTreeMap::new();
+    let mut overflows = 0;
+    for d in &trace.lock().decisions {
+        match d.kind {
+            DecisionKind::BucketInsert { level, overflow } => {
+                per_level.entry(level).or_default().0 += 1;
+                overflows += usize::from(overflow);
+            }
+            DecisionKind::BucketActivate { level, .. } => {
+                per_level.entry(level).or_default().1.insert(d.t);
+            }
+            _ => {}
+        }
     }
-    for (lvl, count) in &per_level {
-        let activations = s.activations.get(lvl).copied().unwrap_or(0);
+    for (lvl, (count, fired)) in &per_level {
+        let activations = fired.len();
         println!("  level {lvl}: {count} txns inserted, {activations} non-empty activations");
     }
-    println!("  probe overflows: {}", s.overflows);
+    println!("  probe overflows: {overflows}");
 }

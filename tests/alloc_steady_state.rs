@@ -6,22 +6,33 @@
 //! Uses a counting wrapper around the system allocator. This is a
 //! separate integration-test binary so the `unsafe` allocator shim stays
 //! out of every library crate (which all `#![forbid(unsafe_code)]`).
+//! The counter is per thread: libtest runs this file's tests on parallel
+//! threads, and each test must see only its own allocations.
 
 use dtm_core::GreedyPolicy;
 use dtm_graph::topology;
 use dtm_model::{ArrivalProcess, OpenLoopSource, WorkloadSpec};
 use dtm_sim::{Engine, EngineConfig, Retention};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// System allocator with a global allocation counter.
+/// System allocator with a per-thread allocation counter.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. `const`-initialised and
+    /// free of destructors, so the allocator can touch it without itself
+    /// allocating or racing thread teardown.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    ALLOCATIONS.with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -30,7 +41,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -38,8 +49,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// Drive a bursty stream through its on-window, let the live set drain

@@ -1,12 +1,13 @@
 //! Integration tests of the distributed bucket protocol (Algorithm 3) and
 //! its sparse-cover substrate.
 
-use dtm_core::{BucketPolicy, DistStats, DistributedBucketPolicy};
+use dtm_core::{BucketPolicy, DistributedBucketPolicy};
 use dtm_graph::{topology, Network, SparseCover};
 use dtm_model::{ClosedLoopSource, WorkloadSpec};
 use dtm_offline::ListScheduler;
 use dtm_sim::{run_policy, validate_events, EngineConfig, ValidationConfig};
-use parking_lot::Mutex;
+use dtm_telemetry::{decision_trace, DecisionKind};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 fn dist_cfg() -> EngineConfig {
@@ -75,7 +76,7 @@ fn distributed_bucket_on_paper_topologies() {
 #[test]
 fn protocol_accounting() {
     let net = topology::grid(&[4, 4]);
-    let stats = Arc::new(Mutex::new(DistStats::default()));
+    let trace = decision_trace();
     let spec = WorkloadSpec::batch_uniform(8, 2);
     let src = ClosedLoopSource::new(net.clone(), spec, 2, 41);
     let expected = src.total_txns();
@@ -83,20 +84,33 @@ fn protocol_accounting() {
     let res = run_policy(
         &net,
         src,
-        DistributedBucketPolicy::new(&net, ListScheduler::fifo(), 8).with_stats(Arc::clone(&stats)),
+        DistributedBucketPolicy::new(&net, ListScheduler::fifo(), 8)
+            .with_decision_trace(Arc::clone(&trace)),
         dist_cfg(),
     );
     res.expect_ok();
-    let s = stats.lock();
-    assert_eq!(s.levels.len(), expected);
+    let trace = trace.lock();
+    let mut levels = BTreeMap::new();
+    let mut reports = 0;
+    for d in &trace.decisions {
+        match d.kind {
+            DecisionKind::DistInsert { level, .. } => {
+                levels.insert(d.txn, level);
+            }
+            DecisionKind::DistReport { layer, .. } => {
+                assert!(layer < cover_layers);
+                reports += 1;
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(levels.len(), expected);
+    let messages: u64 = trace.decisions.iter().map(|d| d.kind.messages()).sum();
     assert!(
-        s.messages >= expected as u64 * 3,
+        messages >= expected as u64 * 3,
         "discovery+report+notify each"
     );
-    for &layer in s.reports_per_layer.keys() {
-        assert!(layer < cover_layers);
-    }
-    assert_eq!(s.report_latency.len(), expected);
+    assert_eq!(reports, expected);
 }
 
 /// Half-speed rule: the same schedule shape, but object traversals take

@@ -119,11 +119,16 @@ fn check_no_perturbation(
         guard.clone()
     };
     trace.decisions = decisions.decisions.clone();
-    // Every scheduled transaction explains itself at least once.
-    for (txn, _) in observed.schedule.iter() {
-        assert!(
-            !decisions.for_txn(txn).is_empty(),
-            "{name}: no decision recorded for {txn}"
+    // Every scheduled transaction explains itself, and exactly one of
+    // its decisions assigned the time it was scheduled at: the trace is
+    // a complete per-transaction record.
+    for (txn, exec) in observed.schedule.iter() {
+        let mine = decisions.for_txn(txn);
+        assert!(!mine.is_empty(), "{name}: no decision recorded for {txn}");
+        let assigning = mine.iter().filter(|d| d.exec_at == Some(exec)).count();
+        assert_eq!(
+            assigning, 1,
+            "{name}: {txn} has {assigning} decisions assigning its slot {exec}"
         );
     }
     (trace, decisions)

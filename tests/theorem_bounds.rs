@@ -1,15 +1,29 @@
 //! Theorem-level assertions at integration scale: every bound the paper
 //! proves must hold on every run this suite performs.
 
-use dtm_core::{BucketPolicy, BucketStats, GreedyPolicy, GreedyStats};
+use dtm_core::{BucketPolicy, GreedyPolicy};
 use dtm_graph::topology;
 use dtm_model::{
-    ClosedLoopSource, FiniteArrivals, ObjectChoice, TraceSource, WorkloadGenerator, WorkloadSpec,
+    ClosedLoopSource, FiniteArrivals, ObjectChoice, Time, TraceSource, TxnId, WorkloadGenerator,
+    WorkloadSpec,
 };
 use dtm_offline::{competitive_ratio, LineScheduler, ListScheduler};
 use dtm_sim::{run_policy, EngineConfig};
-use parking_lot::Mutex;
+use dtm_telemetry::{decision_trace, DecisionKind, DecisionTraceHandle};
 use std::sync::Arc;
+
+/// `(txn, color, theorem bound)` of every greedy coloring in `trace`.
+fn colorings(trace: &DecisionTraceHandle) -> Vec<(TxnId, Time, Time)> {
+    trace
+        .lock()
+        .decisions
+        .iter()
+        .filter_map(|d| match d.kind {
+            DecisionKind::GreedyColor { color, bound, .. } => Some((d.txn, color, bound)),
+            _ => None,
+        })
+        .collect()
+}
 
 /// Theorem 1: color <= 2Γ' - Δ' on every topology and seed tested.
 #[test]
@@ -25,7 +39,7 @@ fn theorem1_bound_many_topologies() {
     ];
     for net in &nets {
         for seed in 0..3u64 {
-            let stats = Arc::new(Mutex::new(GreedyStats::default()));
+            let trace = decision_trace();
             let spec = WorkloadSpec {
                 num_objects: 8,
                 k: 3,
@@ -39,11 +53,11 @@ fn theorem1_bound_many_topologies() {
             let res = run_policy(
                 net,
                 TraceSource::new(inst),
-                GreedyPolicy::new().with_stats(Arc::clone(&stats)),
+                GreedyPolicy::new().with_decision_trace(Arc::clone(&trace)),
                 EngineConfig::default(),
             );
             res.expect_ok();
-            for &(id, color, bound) in &stats.lock().assigned {
+            for (id, color, bound) in colorings(&trace) {
                 assert!(
                     color <= bound,
                     "{}: {id} color {color} > Theorem 1 bound {bound}",
@@ -63,7 +77,7 @@ fn theorem2_uniform_bound() {
         (topology::hypercube(3), 3),
         (topology::hypercube(4), 4),
     ] {
-        let stats = Arc::new(Mutex::new(GreedyStats::default()));
+        let trace = decision_trace();
         let spec = WorkloadSpec {
             num_objects: 6,
             k: 2,
@@ -77,11 +91,11 @@ fn theorem2_uniform_bound() {
         let res = run_policy(
             &net,
             TraceSource::new(inst),
-            GreedyPolicy::uniform(beta).with_stats(Arc::clone(&stats)),
+            GreedyPolicy::uniform(beta).with_decision_trace(Arc::clone(&trace)),
             EngineConfig::default(),
         );
         res.expect_ok();
-        for &(id, color, bound) in &stats.lock().assigned {
+        for (id, color, bound) in colorings(&trace) {
             assert!(color >= 1);
             assert!(color <= bound, "{id}: {color} > {bound}");
         }
@@ -96,7 +110,7 @@ fn theorem2_uniform_bound() {
 #[test]
 fn bucket_lemmas_on_line_and_grid() {
     for (net, line) in [(topology::line(32), true), (topology::grid(&[5, 5]), false)] {
-        let stats = Arc::new(Mutex::new(BucketStats::default()));
+        let trace = decision_trace();
         let spec = WorkloadSpec {
             num_objects: 8,
             k: 2,
@@ -111,24 +125,31 @@ fn bucket_lemmas_on_line_and_grid() {
             run_policy(
                 &net,
                 TraceSource::new(inst),
-                BucketPolicy::new(LineScheduler).with_stats(Arc::clone(&stats)),
+                BucketPolicy::new(LineScheduler).with_decision_trace(Arc::clone(&trace)),
                 EngineConfig::default(),
             )
         } else {
             run_policy(
                 &net,
                 TraceSource::new(inst),
-                BucketPolicy::new(ListScheduler::fifo()).with_stats(Arc::clone(&stats)),
+                BucketPolicy::new(ListScheduler::fifo()).with_decision_trace(Arc::clone(&trace)),
                 EngineConfig::default(),
             )
         };
         res.expect_ok();
-        let s = stats.lock();
-        assert_eq!(s.overflows, 0);
+        let trace = trace.lock();
         let lemma3 = net.max_bucket_level();
-        for (&id, &lvl) in &s.levels {
+        for d in &trace.decisions {
+            let DecisionKind::BucketInsert {
+                level: lvl,
+                overflow,
+            } = d.kind
+            else {
+                continue;
+            };
+            let (id, inserted) = (d.txn, d.t);
+            assert!(!overflow, "{id} overflowed every probe");
             assert!(lvl <= lemma3, "{id} level {lvl} > {lemma3}");
-            let inserted = s.inserted_at[&id];
             let deadline = inserted + (lvl as u64 + 1) * (1u64 << (lvl + 2));
             assert!(
                 res.commits[&id] <= deadline,
