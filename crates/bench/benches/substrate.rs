@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks of the substrates: shortest paths, sparse
-//! cover construction, weighted coloring, batch scheduling, lower bounds,
-//! the runtime-state query layer and a full engine run. These dominate
-//! each simulated "time step" in practice.
+//! cover construction, weighted coloring, batch scheduling, the bucket
+//! insertion probe, lower bounds, the runtime-state query layer and a
+//! full engine run. These dominate each simulated "time step" in
+//! practice.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dtm_core::{smallest_valid_color, ColorConstraint, GreedyPolicy};
@@ -88,6 +89,37 @@ fn bench_lower_bound(c: &mut Criterion) {
     c.bench_function("substrate/lower-bound/200-txns", |b| {
         b.iter(|| std::hint::black_box(batch_lower_bound(&net, &pending, &ctx).combined()))
     });
+}
+
+/// The bucket policies' insertion probe in isolation: a 2-transaction
+/// `makespan` against a fixed set of `F` scheduled transactions on
+/// geometric(1024) with 128 objects. A probe folds only the objects it
+/// touches, so the time should stay flat as `F` grows.
+fn bench_probe_fixed(c: &mut Criterion) {
+    let net = topology::geometric(1024, 4, 18);
+    let objects = 128u32;
+    for &fixed_n in &[16usize, 128, 1024] {
+        let mut rng = ChaCha8Rng::seed_from_u64(fixed_n as u64);
+        let mut ctx = BatchContext::fresh(
+            (0..objects).map(|i| (ObjectId(i), NodeId(rng.gen_range(0..1024)))),
+        );
+        ctx.now = 100;
+        let txn = |id: u64, rng: &mut ChaCha8Rng| {
+            let set: Vec<ObjectId> = (0..2)
+                .map(|_| ObjectId(rng.gen_range(0..objects)))
+                .collect();
+            Transaction::new(TxnId(id), NodeId(rng.gen_range(0..1024)), set, 100)
+        };
+        for i in 0..fixed_n {
+            let t = txn(1_000 + i as u64, &mut rng);
+            ctx.fixed.insert(&t, rng.gen_range(100..10_000));
+        }
+        let pending = vec![txn(0, &mut rng), txn(1, &mut rng)];
+        c.bench_function(&format!("substrate/offline/probe-fixed{fixed_n}"), |b| {
+            let mut s = ListScheduler::fifo();
+            b.iter(|| std::hint::black_box(s.makespan(&net, &pending, &ctx)))
+        });
+    }
 }
 
 /// One live population two ways: map-backed (the legacy `SystemView::new`
@@ -295,6 +327,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_dijkstra, bench_sparse_cover, bench_coloring, bench_list_scheduler, bench_lower_bound, bench_requesters_of, bench_engine_run, bench_scale
+    targets = bench_dijkstra, bench_sparse_cover, bench_coloring, bench_list_scheduler, bench_probe_fixed, bench_lower_bound, bench_requesters_of, bench_engine_run, bench_scale
 }
 criterion_main!(benches);

@@ -16,6 +16,7 @@
 //! bounds the completion of a level-`i` insertion by `t + (i+1) 2^{i+2}`.
 
 use crate::viewctx::FixedCache;
+use dtm_graph::Network;
 use dtm_model::{Schedule, Transaction, TxnId};
 use dtm_offline::{BatchContext, BatchScheduler};
 use dtm_sim::{SchedulingPolicy, SystemView};
@@ -76,33 +77,38 @@ impl<A: BatchScheduler> BucketPolicy<A> {
     pub fn parked(&self) -> usize {
         self.buckets.values().map(|b| b.len()).sum()
     }
+}
 
-    fn insert(&mut self, txn: Transaction, ctx: &BatchContext, view: &SystemView<'_>) {
-        let max_level = self.max_level.expect("set in step"); // dtm-lint: allow(C1) -- set unconditionally at the top of step() before any insert
-        let mut chosen = None;
-        for i in 0..=max_level {
-            let mut probe: Vec<Transaction> = self.buckets.get(&i).cloned().unwrap_or_default();
-            probe.push(txn.clone());
-            let f = self.scheduler.makespan(view.network, &probe, ctx);
-            if f <= 1u64 << i {
-                chosen = Some(i);
-                break;
-            }
+/// Park `txn` in the lowest level `i <= max_level` whose probe
+/// `F_𝒜(T_t^s ∪ B_i ∪ {txn}) <= 2^i` succeeds, or at `max_level` when
+/// none does. Returns `(level, overflow)`.
+///
+/// The probe runs on the bucket itself (push the candidate, probe, pop
+/// on failure) rather than on a copy, and a bucket emptied by the pop is
+/// removed again, so `buckets` never holds an empty entry. `key` maps a
+/// level to the bucket's key (the distributed policy adds the cluster).
+pub(crate) fn park<K: Ord, A: BatchScheduler>(
+    scheduler: &mut A,
+    network: &Network,
+    ctx: &BatchContext,
+    buckets: &mut BTreeMap<K, Vec<Transaction>>,
+    key: impl Fn(u32) -> K,
+    max_level: u32,
+    mut txn: Transaction,
+) -> (u32, bool) {
+    for i in 0..=max_level {
+        let bucket = buckets.entry(key(i)).or_default();
+        bucket.push(txn);
+        if scheduler.makespan(network, bucket, ctx) <= 1u64 << i {
+            return (i, false);
         }
-        let (level, overflow) = match chosen {
-            Some(i) => (i, false),
-            None => (max_level, true),
-        };
-        if let Some(trace) = &self.decisions {
-            trace.lock().push(Decision {
-                t: ctx.now,
-                txn: txn.id,
-                exec_at: None,
-                kind: DecisionKind::BucketInsert { level, overflow },
-            });
+        txn = bucket.pop().expect("pushed above"); // dtm-lint: allow(C1) -- the candidate was pushed two lines above
+        if bucket.is_empty() {
+            buckets.remove(&key(i));
         }
-        self.buckets.entry(level).or_default().push(txn);
     }
+    buckets.entry(key(max_level)).or_default().push(txn);
+    (max_level, true)
 }
 
 impl<A: BatchScheduler> SchedulingPolicy for BucketPolicy<A> {
@@ -112,11 +118,12 @@ impl<A: BatchScheduler> SchedulingPolicy for BucketPolicy<A> {
             .max_level
             .get_or_insert_with(|| view.network.max_bucket_level());
         self.cache.refresh(view);
-        // The batch context re-projects every object position; skip
-        // building it on quiet steps (no arrivals to insert, no bucket
-        // activating). Buckets never hold empty vecs — entries are
-        // created by a push and removed whole on activation — so
-        // `activating` exactly predicts whether the loop below has work.
+        // The batch context re-projects every object position; skip it
+        // on quiet steps (no arrivals to insert, no bucket activating).
+        // Buckets never hold empty vecs — entries are created by a push,
+        // removed again when a failed probe pops its candidate, and
+        // removed whole on activation — so `activating` exactly predicts
+        // whether the loop below has work.
         let now = view.now;
         let activating = self
             .buckets
@@ -125,14 +132,30 @@ impl<A: BatchScheduler> SchedulingPolicy for BucketPolicy<A> {
         if arrivals.is_empty() && !activating {
             return Schedule::new();
         }
-        let mut ctx = self.cache.context(view);
+        let ctx = self.cache.context(view);
 
         // Insertion (before activation, as in Algorithm 2).
         let mut order: Vec<TxnId> = arrivals.to_vec(); // dtm-lint: allow(H1) -- O(arrival batch); an empty to_vec does not allocate, so quiet steps stay allocation-free
         order.sort_unstable();
         for id in order {
             let txn = view.live(id).expect("arrival is live").txn.clone(); // dtm-lint: allow(C1, H1) -- engine contract: every id in `arrivals` is live this step; one clone per arrival, absent on quiet steps
-            self.insert(txn, &ctx, view);
+            let (level, overflow) = park(
+                &mut self.scheduler,
+                view.network,
+                ctx,
+                &mut self.buckets,
+                |i| i,
+                max_level,
+                txn,
+            );
+            if let Some(trace) = &self.decisions {
+                trace.lock().push(Decision {
+                    t: now,
+                    txn: id,
+                    exec_at: None,
+                    kind: DecisionKind::BucketInsert { level, overflow },
+                });
+            }
         }
 
         // Activation: level i fires when t is a multiple of 2^i; lower
@@ -148,9 +171,9 @@ impl<A: BatchScheduler> SchedulingPolicy for BucketPolicy<A> {
             if bucket.is_empty() {
                 continue;
             }
-            let s = self.scheduler.schedule(view.network, &bucket, &ctx);
+            let s = self.scheduler.schedule(view.network, &bucket, ctx);
             for t in &bucket {
-                ctx.fixed.push((t.clone(), s.get(t.id).expect("scheduled"))); // dtm-lint: allow(C1, H1) -- BatchScheduler contract: schedule() assigns every pending transaction; one clone per activated txn, amortized O(1) over its lifetime
+                ctx.fixed.insert(t, s.get(t.id).expect("scheduled")); // dtm-lint: allow(C1) -- BatchScheduler contract: schedule() assigns every pending transaction
             }
             if let Some(trace) = &self.decisions {
                 let epoch = now / (self.period_multiplier << i);

@@ -28,6 +28,7 @@
 //! output as fixed — the centralized simulation of the same
 //! serialization.
 
+use crate::bucket::park;
 use crate::conflict::ConflictCache;
 use crate::viewctx::FixedCache;
 use dtm_graph::{ClusterId, Graph, Network, SparseCover};
@@ -230,10 +231,11 @@ impl<A: BatchScheduler> SchedulingPolicy for DistributedBucketPolicy<A> {
         // 4. Reports that reached their leader by now: partial-bucket
         // insertion (leader-local probe against the doubled network).
         let due: Vec<Time> = self.reporting.range(..=now).map(|(&t, _)| t).collect(); // dtm-lint: allow(H1) -- empty collect allocates nothing on idle ticks; O(due reports) otherwise
-                                                                                      // The batch context re-projects every object position, so build it
+                                                                                      // The batch context re-projects every object position, so fetch it
                                                                                       // lazily: on a quiet step (no due report, no bucket activating)
-                                                                                      // nothing below reads it. Partial buckets are never empty, so
-                                                                                      // `activating` exactly predicts whether step 5 has work.
+                                                                                      // nothing below reads it. Partial buckets are never empty (a
+                                                                                      // failed probe removes the bucket it emptied), so `activating`
+                                                                                      // exactly predicts whether step 5 has work.
         let activating = self
             .partials
             .keys()
@@ -244,47 +246,47 @@ impl<A: BatchScheduler> SchedulingPolicy for DistributedBucketPolicy<A> {
         let ctx = self.cache.context(view);
         for t in due {
             for report in self.reporting.remove(&t).unwrap_or_default() {
+                let PendingReport {
+                    txn,
+                    cluster,
+                    snapshot,
+                } = report;
+                let id = txn.id;
                 // Under stale knowledge the probe sees the object
-                // positions the report carried, aged to the present.
-                let probe_ctx = if self.stale_knowledge {
-                    let mut c = ctx.clone(); // dtm-lint: allow(H1) -- stale-knowledge ablation path (A5), one copy per due report
-                    for &(o, (node, ready)) in &report.snapshot {
-                        c.object_avail.insert(o, (node, ready.max(now)));
-                    }
-                    c
-                } else {
-                    ctx.clone() // dtm-lint: allow(H1) -- per due report; the probe mutates its context copy
-                };
-                let mut chosen = None;
-                for i in 0..=max_level {
-                    let mut probe = self
-                        .partials
-                        .get(&(i, report.cluster))
-                        .cloned() // dtm-lint: allow(H1) -- per-level probe copies its partial bucket; bounded by max_level per report
-                        .unwrap_or_default();
-                    probe.push(report.txn.clone()); // dtm-lint: allow(H1) -- probe candidate, one clone per level tried per report
-                    let f = self.scheduler.makespan(&self.doubled, &probe, &probe_ctx);
-                    if f <= 1u64 << i {
-                        chosen = Some(i);
-                        break;
+                // positions the report carried, aged to the present; the
+                // fresh positions are put back after the probe.
+                if self.stale_knowledge {
+                    for &(o, (node, ready)) in &snapshot {
+                        ctx.object_avail.insert(o, (node, ready.max(now)));
                     }
                 }
-                let level = chosen.unwrap_or(max_level);
+                let (level, _) = park(
+                    &mut self.scheduler,
+                    &self.doubled,
+                    ctx,
+                    &mut self.partials,
+                    |i| (i, cluster),
+                    max_level,
+                    txn,
+                );
+                if self.stale_knowledge {
+                    for &(o, _) in &snapshot {
+                        if let Some(st) = view.object(o) {
+                            ctx.object_avail.insert(o, st.position(now));
+                        }
+                    }
+                }
                 if let Some(trace) = &self.decisions {
                     trace.lock().push(Decision {
                         t: now,
-                        txn: report.txn.id,
+                        txn: id,
                         exec_at: None,
                         kind: DecisionKind::DistInsert {
                             level,
-                            cluster: report.cluster.0 as u64,
+                            cluster: cluster.0 as u64,
                         },
                     });
                 }
-                self.partials
-                    .entry((level, report.cluster))
-                    .or_default()
-                    .push(report.txn);
             }
         }
 
@@ -292,7 +294,6 @@ impl<A: BatchScheduler> SchedulingPolicy for DistributedBucketPolicy<A> {
         // Deterministic serialization: ascending (level, cluster id);
         // each leader sees earlier outputs as fixed.
         let mut fragment = Schedule::new();
-        let mut ctx = ctx;
         let keys: Vec<(u32, ClusterId)> = self
             .partials
             .keys()
@@ -312,11 +313,11 @@ impl<A: BatchScheduler> SchedulingPolicy for DistributedBucketPolicy<A> {
                 .map(|t| view.network.distance(leader, t.home))
                 .max()
                 .unwrap_or(0);
-            let mut bucket_ctx = ctx.clone(); // dtm-lint: allow(H1) -- one context copy per activated bucket for its notify offset
-            bucket_ctx.now = now + notify;
-            let s = self.scheduler.schedule(&self.doubled, &bucket, &bucket_ctx);
+            ctx.now = now + notify;
+            let s = self.scheduler.schedule(&self.doubled, &bucket, ctx);
+            ctx.now = now;
             for t in &bucket {
-                ctx.fixed.push((t.clone(), s.get(t.id).expect("scheduled"))); // dtm-lint: allow(C1, H1) -- BatchScheduler contract: schedule() assigns every pending transaction; one clone per activated txn, amortized O(1) over its lifetime
+                ctx.fixed.insert(t, s.get(t.id).expect("scheduled")); // dtm-lint: allow(C1) -- BatchScheduler contract: schedule() assigns every pending transaction
             }
             if let Some(trace) = &self.decisions {
                 let mut trace = trace.lock();
@@ -444,6 +445,25 @@ mod tests {
         res.expect_ok();
         validate_events(&net, &res, &dist_validation()).unwrap();
         assert_eq!(res.metrics.committed, 20);
+    }
+
+    /// Stale-knowledge probes (ablation A5) override the carried object
+    /// positions only for their own probe: the schedule stays feasible.
+    #[test]
+    fn stale_knowledge_closed_loop_runs_clean() {
+        let net = topology::grid(&[4, 4]);
+        let src = ClosedLoopSource::new(net.clone(), WorkloadSpec::batch_uniform(8, 2), 2, 2400);
+        let policy =
+            DistributedBucketPolicy::new(&net, ListScheduler::fifo(), 41).with_stale_knowledge();
+        let res = run_policy(
+            &net,
+            src,
+            policy,
+            DistributedBucketPolicy::<ListScheduler>::engine_config(),
+        );
+        res.expect_ok();
+        validate_events(&net, &res, &dist_validation()).unwrap();
+        assert_eq!(res.metrics.committed, 32);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 
 use dtm_graph::{ClusterId, Network, NodeId, SparseCover, Weight};
 use dtm_model::{ObjectId, Schedule, Time, Transaction, TxnId};
-use dtm_offline::{BatchContext, BatchScheduler};
+use dtm_offline::{BatchContext, BatchScheduler, FixedSet};
 use dtm_sim::{EngineConfig, SchedulingPolicy, SystemView};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -120,7 +120,7 @@ pub struct DistributedMsgPolicy<A> {
     partials: BTreeMap<(u32, ClusterId), Vec<(Transaction, CarriedInfo)>>,
     /// Each leader's own past scheduling decisions (local knowledge).
     // dtm-lint: bounded -- retained entries filtered to live transactions at the top of step()
-    leader_fixed: BTreeMap<ClusterId, Vec<(Transaction, Time)>>,
+    leader_fixed: BTreeMap<ClusterId, FixedSet>,
     stats: Option<Arc<Mutex<MsgStats>>>,
 }
 
@@ -339,7 +339,7 @@ impl<A: BatchScheduler> DistributedMsgPolicy<A> {
         let mut ctx = BatchContext {
             now,
             object_avail: carried.iter().map(|&(o, v)| (o, (v, now))).collect(),
-            fixed: self.leader_fixed.get(&cluster).cloned().unwrap_or_default(),
+            fixed: self.leader_fixed.remove(&cluster).unwrap_or_default(),
         };
         // Bucket members' carried info also feeds the probe.
         let mut chosen = None;
@@ -361,6 +361,9 @@ impl<A: BatchScheduler> DistributedMsgPolicy<A> {
                 chosen = Some(i);
                 break;
             }
+        }
+        if !ctx.fixed.is_empty() {
+            self.leader_fixed.insert(cluster, ctx.fixed);
         }
         let level = chosen.unwrap_or(max_level);
         self.bump(|s| {
@@ -387,7 +390,7 @@ impl<A: BatchScheduler> SchedulingPolicy for DistributedMsgPolicy<A> {
         // history grows with every transaction it ever scheduled —
         // unbounded under open-system arrival streams.
         self.leader_fixed.retain(|_, fixed| {
-            fixed.retain(|(t, _)| view.live(t.id).is_some());
+            fixed.retain(|id| view.live(id).is_some());
             !fixed.is_empty()
         });
 
@@ -467,7 +470,7 @@ impl<A: BatchScheduler> SchedulingPolicy for DistributedMsgPolicy<A> {
             let mut ctx = BatchContext {
                 now: now + notify,
                 object_avail: BTreeMap::new(),
-                fixed: self.leader_fixed.get(&key.1).cloned().unwrap_or_default(),
+                fixed: self.leader_fixed.remove(&key.1).unwrap_or_default(),
             };
             for (_, info) in &members {
                 for &(o, v) in info {
@@ -476,10 +479,10 @@ impl<A: BatchScheduler> SchedulingPolicy for DistributedMsgPolicy<A> {
             }
             let bucket: Vec<Transaction> = members.iter().map(|(t, _)| t.clone()).collect();
             let s = self.scheduler.schedule(&self.doubled, &bucket, &ctx);
-            let fixed = self.leader_fixed.entry(key.1).or_default();
             for t in &bucket {
-                fixed.push((t.clone(), s.get(t.id).expect("scheduled"))); // dtm-lint: allow(C1) -- BatchScheduler contract: schedule() assigns every pending transaction
+                ctx.fixed.insert(t, s.get(t.id).expect("scheduled")); // dtm-lint: allow(C1) -- BatchScheduler contract: schedule() assigns every pending transaction
             }
+            self.leader_fixed.insert(key.1, ctx.fixed);
             fragment.merge(&s);
         }
         fragment

@@ -62,7 +62,7 @@ impl SchedulingPolicy for FifoPolicy {
         let fragment = self.inner.get_or_insert_with(ListScheduler::fifo).schedule(
             view.network,
             &pending,
-            &ctx,
+            ctx,
         );
         if let Some(trace) = &self.decisions {
             let mut trace = trace.lock();

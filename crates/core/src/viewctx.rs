@@ -4,8 +4,8 @@
 //! `T_t^s`, which new schedules must work around — basic modification 1 of
 //! Section IV-A).
 
-use dtm_model::{Time, Transaction, TxnId};
-use dtm_offline::BatchContext;
+use dtm_model::{ObjectId, Time};
+use dtm_offline::{BatchContext, FixedSet};
 use dtm_sim::SystemView;
 use std::collections::BTreeMap;
 
@@ -14,46 +14,61 @@ pub fn batch_context_from_view(view: &SystemView<'_>) -> BatchContext {
     BatchContext {
         now: view.now,
         object_avail: object_avail(view),
-        fixed: view
-            .live_txns()
-            .filter_map(|lt| lt.scheduled.map(|t| (lt.txn.clone(), t)))
-            .collect(),
+        fixed: scheduled_live(view),
     }
 }
 
 /// Current object positions projected to availability points.
-fn object_avail(view: &SystemView<'_>) -> BTreeMap<dtm_model::ObjectId, (dtm_graph::NodeId, Time)> {
+fn object_avail(view: &SystemView<'_>) -> BTreeMap<ObjectId, (dtm_graph::NodeId, Time)> {
     view.objects()
-        .map(|st| {
-            let (node, ready) = st.position(view.now);
-            (st.info.id, (node, ready))
-        })
+        .map(|st| (st.info.id, st.position(view.now)))
         .collect()
 }
 
-/// Incrementally-maintained fixed context: the scheduled live transactions
-/// `T_t^s` with their execution times, which new schedules must work
-/// around (basic modification 1 of Section IV-A).
+/// The scheduled live transactions `T_t^s`, from a full scan of the view.
+fn scheduled_live(view: &SystemView<'_>) -> FixedSet {
+    view.live_txns()
+        .filter_map(|lt| lt.scheduled.map(|t| (&lt.txn, t)))
+        .collect()
+}
+
+/// Incrementally-maintained batch context: the scheduled live
+/// transactions `T_t^s` as per-object timelines, which new schedules
+/// must work around (basic modification 1 of Section IV-A), plus the
+/// current object positions.
 ///
 /// When the view is arena-backed, [`FixedCache::refresh`] folds the
 /// [`dtm_sim::StepEffects`] accumulated since the previous policy call
-/// into the cached map instead of rescanning the whole live set; with a
-/// map-backed view (no effects) it falls back to a full rebuild, so the
-/// cache is safe to use with either backing. `Clone` captures the cache
-/// for [`dtm_sim::SchedulingPolicy::fork`] checkpoints.
+/// into the cached [`FixedSet`] instead of rescanning the whole live
+/// set; with a map-backed view (no effects) it falls back to a full
+/// rebuild, so the cache is safe to use with either backing. A policy
+/// may also insert its own decisions as it makes them (the next
+/// refresh re-inserts them, which is a no-op). `Clone` captures the
+/// cache for [`dtm_sim::SchedulingPolicy::fork`] checkpoints.
 ///
-/// **Boundedness (open-system audit).** Entries leave via
-/// `fx.removed()` as their transactions commit or abort, so the map
+/// **Boundedness (open-system audit).** Fixed entries leave via
+/// `fx.removed()` as their transactions commit or abort, so the set
 /// holds only *live* scheduled transactions — O(live set) no matter how
-/// many transactions stream through.
+/// many transactions stream through; `object_avail` holds one entry per
+/// object.
 #[derive(Clone, Debug, Default)]
 pub struct FixedCache {
-    // dtm-lint: bounded -- entries leave via fx.removed() as txns commit/abort; O(live set)
-    fixed: BTreeMap<TxnId, (Transaction, Time)>,
+    ctx: BatchContext,
     init: bool,
     /// Refresh counter driving the sampled debug divergence check.
     refreshes: u64,
 }
+
+/// How often a debug build compares the cache against a full rescan.
+/// Every refresh under this crate's own tests; sampled otherwise, since
+/// the rescan is O(live) and made debug-mode streaming runs pay more for
+/// the check than for the work.
+#[cfg(any(test, debug_assertions))]
+const CHECK_PERIOD: u64 = if cfg!(test) {
+    1
+} else {
+    crate::conflict::DIVERGENCE_SAMPLE_PERIOD
+};
 
 impl FixedCache {
     /// Bring the cached fixed set up to date with `view`. Must be called
@@ -67,47 +82,64 @@ impl FixedCache {
                     // Scheduled and committed within the same inter-policy
                     // window: no longer live, never enters the fixed set.
                     if let Some(lt) = view.live(id) {
-                        self.fixed.insert(id, (lt.txn.clone(), t)); // dtm-lint: allow(H1) -- one clone per newly *scheduled* txn (delta-driven), not per step
+                        self.ctx.fixed.insert(&lt.txn, t);
                     }
                 }
                 for id in fx.removed() {
-                    self.fixed.remove(&id);
+                    self.ctx.fixed.remove(id);
                 }
             }
             _ => {
-                self.fixed = view
-                    .live_txns()
-                    .filter_map(|lt| lt.scheduled.map(|t| (lt.txn.id, (lt.txn.clone(), t)))) // dtm-lint: allow(H1) -- cold fallback for map-backed views and first call only
-                    .collect(); // dtm-lint: allow(H1) -- cold fallback for map-backed views and first call only
+                self.ctx.fixed = scheduled_live(view);
                 self.init = true;
             }
         }
         self.refreshes = self.refreshes.wrapping_add(1);
-        // Sampled rather than every-step: the full rescan is O(live) with
-        // a clone per scheduled transaction, which made debug-mode
-        // streaming runs pay more for the check than for the work.
-        #[cfg(debug_assertions)]
-        if self
-            .refreshes
-            .is_multiple_of(crate::conflict::DIVERGENCE_SAMPLE_PERIOD)
-        {
-            let full: BTreeMap<TxnId, (Transaction, Time)> = view
-                .live_txns()
-                .filter_map(|lt| lt.scheduled.map(|t| (lt.txn.id, (lt.txn.clone(), t)))) // dtm-lint: allow(H1) -- debug-only sampled divergence check, compiled out in release
-                .collect(); // dtm-lint: allow(H1) -- debug-only sampled divergence check, compiled out in release
-            debug_assert_eq!(self.fixed, full, "incremental fixed context diverged");
+        #[cfg(any(test, debug_assertions))]
+        if self.refreshes.is_multiple_of(CHECK_PERIOD) {
+            assert_eq!(
+                self.ctx.fixed,
+                scheduled_live(view),
+                "incremental fixed context diverged"
+            );
+            #[cfg(test)]
+            tests::CHECKS.with(|c| c.set(c.get() + 1));
         }
     }
 
-    /// Build this step's [`BatchContext`]. Object positions change every
-    /// step, so they are re-projected; the fixed set comes from the cache
-    /// (id order, identical to a full scan).
-    pub fn context(&self, view: &SystemView<'_>) -> BatchContext {
-        BatchContext {
-            now: view.now,
-            object_avail: object_avail(view),
-            fixed: self.fixed.values().cloned().collect(),
+    /// This step's [`BatchContext`], lent for the step: `now` and every
+    /// object position are re-projected in place, the fixed set comes
+    /// from the cache. A policy may fix its own decisions into it
+    /// (`ctx.fixed.insert`) and may change `now` or `object_avail` for a
+    /// probe as long as it restores them.
+    // dtm-lint: hot-path
+    pub fn context(&mut self, view: &SystemView<'_>) -> &mut BatchContext {
+        let now = view.now;
+        self.ctx.now = now;
+        // The view lists objects in id order, as the map holds them: walk
+        // both together and overwrite each position. Only when the object
+        // population changed (a new object appeared) is the map rebuilt.
+        let avail = &mut self.ctx.object_avail;
+        let mut slots = avail.iter_mut();
+        let same_objects = view.objects().all(|st| match slots.next() {
+            Some((&id, slot)) if id == st.info.id => {
+                *slot = st.position(now);
+                true
+            }
+            _ => false,
+        }) && slots.next().is_none();
+        if !same_objects {
+            *avail = object_avail(view);
         }
+        #[cfg(any(test, debug_assertions))]
+        if self.refreshes.is_multiple_of(CHECK_PERIOD) {
+            assert_eq!(
+                self.ctx,
+                batch_context_from_view(view),
+                "incremental batch context diverged"
+            );
+        }
+        &mut self.ctx
     }
 }
 
@@ -117,7 +149,23 @@ mod tests {
     use dtm_graph::{topology, NodeId};
     use dtm_model::{ObjectId, ObjectInfo, Transaction, TxnId};
     use dtm_sim::{LiveTxn, ObjectPlace, ObjectState};
+    use std::cell::Cell;
     use std::collections::BTreeMap;
+
+    thread_local! {
+        /// Full-rescan comparisons made by [`FixedCache::refresh`] on this
+        /// thread (one per refresh under test builds).
+        pub(super) static CHECKS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// `(txn, exec)` of object 0's fixed users, in execution order.
+    fn users_of_0(fixed: &FixedSet) -> Vec<(TxnId, Time)> {
+        fixed
+            .users(ObjectId(0))
+            .iter()
+            .map(|u| (u.txn, u.exec))
+            .collect()
+    }
 
     #[test]
     fn snapshot_carries_positions_and_fixed() {
@@ -159,7 +207,7 @@ mod tests {
         assert_eq!(ctx.now, 5);
         assert_eq!(ctx.object_avail[&ObjectId(0)], (NodeId(2), 7));
         assert_eq!(ctx.fixed.len(), 1);
-        assert_eq!(ctx.fixed[0].1, 9);
+        assert_eq!(users_of_0(&ctx.fixed), vec![(TxnId(0), 9)]);
     }
 
     /// The incremental cache tracks schedule/commit deltas on an
@@ -191,11 +239,8 @@ mod tests {
         }
         let view = SystemView::from_state(1, &net, &state);
         cache.refresh(&view);
-        let fixed = cache.context(&view).fixed;
-        assert_eq!(
-            fixed.iter().map(|(t, at)| (t.id, *at)).collect::<Vec<_>>(),
-            vec![(TxnId(1), 5), (TxnId(3), 9)]
-        );
+        let fixed = cache.context(&view).fixed.clone();
+        assert_eq!(users_of_0(&fixed), vec![(TxnId(1), 5), (TxnId(3), 9)]);
         assert_eq!(fixed, batch_context_from_view(&view).fixed);
 
         // Commit 1; schedule 0.
@@ -206,11 +251,8 @@ mod tests {
         state.effects_mut().scheduled.push((TxnId(0), 7));
         let view = SystemView::from_state(2, &net, &state);
         cache.refresh(&view);
-        let fixed = cache.context(&view).fixed;
-        assert_eq!(
-            fixed.iter().map(|(t, at)| (t.id, *at)).collect::<Vec<_>>(),
-            vec![(TxnId(0), 7), (TxnId(3), 9)]
-        );
+        let fixed = cache.context(&view).fixed.clone();
+        assert_eq!(users_of_0(&fixed), vec![(TxnId(0), 7), (TxnId(3), 9)]);
         assert_eq!(fixed, batch_context_from_view(&view).fixed);
 
         // Scheduled-then-committed inside one window never enters.
@@ -221,8 +263,67 @@ mod tests {
         state.effects_mut().committed.push(TxnId(2));
         let view = SystemView::from_state(3, &net, &state);
         cache.refresh(&view);
-        let fixed = cache.context(&view).fixed;
+        let fixed = cache.context(&view).fixed.clone();
         assert_eq!(fixed, batch_context_from_view(&view).fixed);
-        assert!(!fixed.iter().any(|(t, _)| t.id == TxnId(2)));
+        assert!(!users_of_0(&fixed).iter().any(|&(id, _)| id == TxnId(2)));
+    }
+
+    /// Run `policy` over a random online workload on a random small
+    /// graph; the cache inside it compares itself against a full rescan
+    /// at every refresh (see [`CHECK_PERIOD`]). Returns how many
+    /// comparisons ran, which must be at least one per step.
+    fn run_checked<P: dtm_sim::SchedulingPolicy>(
+        net: &dtm_graph::Network,
+        seed: u64,
+        policy: P,
+        config: dtm_sim::EngineConfig,
+    ) -> (u64, u64) {
+        use dtm_model::{
+            FiniteArrivals, ObjectChoice, TraceSource, WorkloadGenerator, WorkloadSpec,
+        };
+        let spec = WorkloadSpec {
+            num_objects: 6,
+            k: 2,
+            object_choice: ObjectChoice::Uniform,
+            arrival: FiniteArrivals::Bernoulli {
+                rate: 0.08,
+                horizon: 30,
+            },
+        };
+        let inst = WorkloadGenerator::new(spec, seed).generate(net);
+        let before = CHECKS.with(Cell::get);
+        let res = dtm_sim::run_policy(net, TraceSource::new(inst), policy, config);
+        res.expect_ok();
+        (CHECKS.with(Cell::get) - before, res.metrics.makespan)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Bucket and distributed runs (stale knowledge on and off) keep
+        /// a context equal to `batch_context_from_view` at every step,
+        /// through their own early inserts at activation.
+        #[test]
+        fn kept_context_equals_view_snapshot_every_step(seed in 0u64..1_000, n in 6u32..14) {
+            use crate::{BucketPolicy, DistributedBucketPolicy};
+            use dtm_offline::ListScheduler;
+            let net = topology::random(n, 3, 3, seed);
+            let (checks, steps) = run_checked(
+                &net,
+                seed,
+                BucketPolicy::new(ListScheduler::fifo()),
+                dtm_sim::EngineConfig::default(),
+            );
+            proptest::prop_assert!(checks > steps, "{checks} checks over {steps} steps");
+            let dist_config = DistributedBucketPolicy::<ListScheduler>::engine_config();
+            for stale in [false, true] {
+                let mut policy = DistributedBucketPolicy::new(&net, ListScheduler::fifo(), seed);
+                if stale {
+                    policy = policy.with_stale_knowledge();
+                }
+                let (checks, steps) = run_checked(&net, seed, policy, dist_config.clone());
+                proptest::prop_assert!(checks > steps, "{checks} checks over {steps} steps");
+            }
+        }
     }
 }

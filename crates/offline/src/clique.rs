@@ -8,7 +8,7 @@
 //! `<= k * l_max`, giving the `O(k * l_max)` makespan that underlies the
 //! paper's Theorem 3 analysis.
 
-use crate::traits::{object_release, BatchContext, BatchScheduler};
+use crate::traits::{BatchContext, BatchScheduler};
 use dtm_graph::Network;
 use dtm_model::{Schedule, Time, Transaction};
 use std::collections::{BTreeMap, BTreeSet};
@@ -33,7 +33,6 @@ impl BatchScheduler for CliqueScheduler {
         if pending.is_empty() {
             return Schedule::new();
         }
-        let releases = object_release(network, ctx);
         // Base time: all relevant objects must be released before the
         // color ladder starts. (On a clique the release node is irrelevant:
         // every node is one hop away and colors start at 1.)
@@ -41,7 +40,7 @@ impl BatchScheduler for CliqueScheduler {
         for t in pending {
             base = base.max(t.generated_at);
             for o in t.objects() {
-                if let Some(&(_, ready)) = releases.get(&o) {
+                if let Some((_, ready)) = ctx.release(network, o) {
                     base = base.max(ready);
                 }
             }
@@ -180,7 +179,7 @@ mod tests {
         let net = topology::clique(4);
         let mut ctx = BatchContext::fresh([(ObjectId(0), NodeId(0))]);
         ctx.now = 5;
-        ctx.fixed = vec![(txn(9, 2, &[0]), 9)];
+        ctx.fixed.insert(&txn(9, 2, &[0]), 9);
         let pending = vec![txn(0, 1, &[0])];
         let sched = CliqueScheduler.schedule(&net, &pending, &ctx);
         validate_batch_schedule(&net, &pending, &ctx, &sched).unwrap();

@@ -9,8 +9,8 @@
 //! (Section IV-D notes those algorithms are randomized and are re-run on
 //! bad events; restarts play that role here).
 
-use crate::list::list_schedule_in_order;
-use crate::traits::{object_release, BatchContext, BatchScheduler};
+use crate::list::Overlay;
+use crate::traits::{BatchContext, BatchScheduler};
 use dtm_graph::{Network, Structured};
 use dtm_model::{Schedule, Time, Transaction};
 use rand::seq::SliceRandom;
@@ -62,7 +62,6 @@ impl BatchScheduler for ClusterScheduler {
                     network.name()
                 )
             });
-        let releases = object_release(network, ctx);
 
         // Split pending into local (objects all in own clique) and cross.
         let mut local: BTreeMap<u32, Vec<&Transaction>> = BTreeMap::new();
@@ -70,9 +69,8 @@ impl BatchScheduler for ClusterScheduler {
         for t in pending {
             let home_clique = Self::clique_of(&structured, t.home);
             let is_local = t.objects().all(|o| {
-                releases
-                    .get(&o)
-                    .is_some_and(|&(node, _)| Self::clique_of(&structured, node) == home_clique)
+                ctx.release(network, o)
+                    .is_some_and(|(node, _)| Self::clique_of(&structured, node) == home_clique)
             });
             if is_local {
                 local.entry(home_clique).or_default().push(t);
@@ -84,30 +82,23 @@ impl BatchScheduler for ClusterScheduler {
         // Phase 1: per-clique earliest-feasible scheduling in conflict-
         // aware order (hot objects first so chains start early). Cliques
         // are independent — no shared objects by construction of `local` —
-        // so the same timeline works for all of them in parallel.
+        // so one overlay serves all of them.
         let mut phase1 = Schedule::new();
+        let mut after_phase1 = Overlay::new(ctx);
         for txns in local.values() {
             let mut order = txns.clone();
             order.sort_by_key(|t| (std::cmp::Reverse(t.k()), t.id));
-            let s = list_schedule_in_order(network, &order, ctx);
-            phase1.merge(&s);
+            phase1.merge(&after_phase1.schedule(network, &order));
         }
 
         if cross.is_empty() {
             return phase1;
         }
 
-        // Phase 2: cross-clique transactions on top of phase 1 as fixed
-        // context; randomized restarts keep the best order. Orders are
-        // grouped by clique so object bridge crossings batch up.
-        let mut ctx2 = ctx.clone();
-        for txns in local.values() {
-            for t in txns {
-                ctx2.fixed
-                    // dtm-lint: allow(C1) -- BatchScheduler contract: schedule() assigns every pending transaction
-                    .push(((**t).clone(), phase1.get(t.id).expect("scheduled")));
-            }
-        }
+        // Phase 2: cross-clique transactions on top of phase 1 (each
+        // candidate starts from the phase-1 overlay); randomized restarts
+        // keep the best order. Orders are grouped by clique so object
+        // bridge crossings batch up.
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
         let mut best: Option<Schedule>;
         let mut best_end: Time;
@@ -116,7 +107,7 @@ impl BatchScheduler for ClusterScheduler {
         {
             let mut order = cross.clone();
             order.sort_by_key(|t| (t.generated_at, t.id));
-            let s = list_schedule_in_order(network, &order, &ctx2);
+            let s = after_phase1.clone().schedule(network, &order);
             best_end = s.makespan_end().unwrap_or(ctx.now);
             best = Some(s);
         }
@@ -134,7 +125,7 @@ impl BatchScheduler for ClusterScheduler {
             let mut order = cross.clone();
             order.shuffle(&mut rng);
             order.sort_by_key(|t| rank[&Self::clique_of(&structured, t.home)]);
-            let s = list_schedule_in_order(network, &order, &ctx2);
+            let s = after_phase1.clone().schedule(network, &order);
             let end = s.makespan_end().unwrap_or(ctx.now);
             if end < best_end {
                 best_end = end;

@@ -14,8 +14,10 @@
 //! "basic modifications" (Section IV-A) are honored structurally:
 //!
 //! 1. *scheduling around already-scheduled transactions*: every scheduler
-//!    receives a [`BatchContext`] carrying the fixed schedule and projects
-//!    object availability after it ([`object_release`]);
+//!    receives a [`BatchContext`] carrying the fixed schedule as one
+//!    timeline per object ([`FixedSet`]) and projects each object's
+//!    availability after its fixed users ([`BatchContext::release`]),
+//!    folding only the objects the call touches;
 //! 2. *the suffix property*: all schedulers here are earliest-feasible
 //!    list-type schedules, whose suffixes are themselves feasible
 //!    earliest-feasible schedules from the suffix's object positions.
@@ -76,5 +78,5 @@ pub use list::{ListOrder, ListScheduler};
 pub use lower_bound::{batch_lower_bound, object_lower_bound, LowerBoundParts};
 pub use ratio::{competitive_ratio, RatioReport};
 pub use star::StarScheduler;
-pub use traits::{object_release, validate_batch_schedule, BatchContext, BatchScheduler};
+pub use traits::{validate_batch_schedule, BatchContext, BatchScheduler, FixedSet, FixedUser};
 pub use tsp::TspScheduler;

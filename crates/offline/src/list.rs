@@ -5,13 +5,13 @@
 //! folding object positions forward. Always feasible on arbitrary graphs;
 //! quality depends on the order, which the per-topology schedulers tune.
 
-use crate::traits::{handoff_gap, object_release, BatchContext, BatchScheduler};
-use dtm_graph::Network;
-use dtm_model::{ObjectId, Schedule, Time, Transaction};
+use crate::traits::{handoff_gap, BatchContext, BatchScheduler};
+use dtm_graph::{Network, NodeId};
+use dtm_model::{ObjectId, Schedule, Time, Transaction, TxnId};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 
 /// Processing order for [`ListScheduler`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -42,53 +42,9 @@ impl ListScheduler {
             order: ListOrder::Arrival,
         }
     }
-}
 
-/// Schedule `order`ed transactions at their earliest feasible times given
-/// `ctx`. The core primitive shared by all list-type schedulers.
-///
-/// # Panics
-/// Panics if a transaction requests an object absent from
-/// `ctx.object_avail`.
-pub fn list_schedule_in_order(
-    network: &Network,
-    order: &[&Transaction],
-    ctx: &BatchContext,
-) -> Schedule {
-    let mut avail = object_release(network, ctx);
-    // Objects that already had a transactional user (handoffs from them pay
-    // the >= 1 serialization gap even at distance 0).
-    let mut used: BTreeSet<ObjectId> = ctx.fixed.iter().flat_map(|(t, _)| t.objects()).collect();
-    let mut schedule = Schedule::new();
-    for t in order {
-        let mut exec: Time = ctx.now.max(t.generated_at);
-        for o in t.objects() {
-            let &(node, ready) = avail
-                .get(&o)
-                .unwrap_or_else(|| panic!("{} requests unknown object {o}", t.id));
-            let gap = if used.contains(&o) {
-                handoff_gap(network, node, t.home)
-            } else {
-                network.distance(node, t.home)
-            };
-            exec = exec.max(ready + gap);
-        }
-        schedule.set(t.id, exec);
-        for o in t.objects() {
-            avail.insert(o, (t.home, exec));
-            used.insert(o);
-        }
-    }
-    schedule
-}
-
-impl BatchScheduler for ListScheduler {
-    fn schedule(
-        &mut self,
-        network: &Network,
-        pending: &[Transaction],
-        ctx: &BatchContext,
-    ) -> Schedule {
+    /// `pending` in this scheduler's processing order.
+    fn ordered<'p>(&self, pending: &'p [Transaction]) -> Vec<&'p Transaction> {
         let mut order: Vec<&Transaction> = pending.iter().collect();
         match &self.order {
             ListOrder::Arrival => order.sort_by_key(|t| (t.generated_at, t.id)),
@@ -99,7 +55,111 @@ impl BatchScheduler for ListScheduler {
                 order.shuffle(&mut rng);
             }
         }
-        list_schedule_in_order(network, &order, ctx)
+        order
+    }
+}
+
+/// Object availability as one scheduling call sees it: each object's
+/// release after the fixed timeline ([`BatchContext::release`]),
+/// overridden by the transactions this call has placed. Only the objects
+/// the call touches are ever folded.
+#[derive(Clone, Debug)]
+pub(crate) struct Overlay<'c> {
+    ctx: &'c BatchContext,
+    placed: BTreeMap<ObjectId, (NodeId, Time)>,
+}
+
+impl<'c> Overlay<'c> {
+    pub(crate) fn new(ctx: &'c BatchContext) -> Self {
+        Overlay {
+            ctx,
+            placed: BTreeMap::new(),
+        }
+    }
+
+    /// Place `order`ed transactions at their earliest feasible times,
+    /// reporting each `(txn, exec)` to `emit`.
+    ///
+    /// # Panics
+    /// Panics if a transaction requests an object that is neither in
+    /// `ctx.object_avail` nor used by the fixed set.
+    pub(crate) fn place(
+        &mut self,
+        network: &Network,
+        order: &[&Transaction],
+        mut emit: impl FnMut(TxnId, Time),
+    ) {
+        for t in order {
+            let mut exec: Time = self.ctx.now.max(t.generated_at);
+            for o in t.objects() {
+                // A placed object, or one with a fixed user, pays the >= 1
+                // serialization gap even at distance 0.
+                let (node, ready, used) = match self.placed.get(&o) {
+                    Some(&(node, ready)) => (node, ready, true),
+                    None => {
+                        let (node, ready) = self
+                            .ctx
+                            .release(network, o)
+                            .unwrap_or_else(|| panic!("{} requests unknown object {o}", t.id));
+                        (node, ready, self.ctx.has_fixed_user(o))
+                    }
+                };
+                let gap = if used {
+                    handoff_gap(network, node, t.home)
+                } else {
+                    network.distance(node, t.home)
+                };
+                exec = exec.max(ready + gap);
+            }
+            emit(t.id, exec);
+            for o in t.objects() {
+                self.placed.insert(o, (t.home, exec));
+            }
+        }
+    }
+
+    /// [`Overlay::place`] collected into a [`Schedule`].
+    pub(crate) fn schedule(&mut self, network: &Network, order: &[&Transaction]) -> Schedule {
+        let mut schedule = Schedule::new();
+        self.place(network, order, |id, exec| {
+            schedule.set(id, exec);
+        });
+        schedule
+    }
+}
+
+/// Schedule `order`ed transactions at their earliest feasible times given
+/// `ctx`. The core primitive shared by all list-type schedulers.
+///
+/// # Panics
+/// Panics if a transaction requests an object that is neither in
+/// `ctx.object_avail` nor used by `ctx.fixed`.
+pub fn list_schedule_in_order(
+    network: &Network,
+    order: &[&Transaction],
+    ctx: &BatchContext,
+) -> Schedule {
+    Overlay::new(ctx).schedule(network, order)
+}
+
+impl BatchScheduler for ListScheduler {
+    fn schedule(
+        &mut self,
+        network: &Network,
+        pending: &[Transaction],
+        ctx: &BatchContext,
+    ) -> Schedule {
+        list_schedule_in_order(network, &self.ordered(pending), ctx)
+    }
+
+    /// The end of the list schedule, without building the [`Schedule`]:
+    /// the bucket policies' insertion probe only needs this number.
+    fn makespan(&mut self, network: &Network, pending: &[Transaction], ctx: &BatchContext) -> Time {
+        let mut end: Option<Time> = None;
+        Overlay::new(ctx).place(network, &self.ordered(pending), |_, exec| {
+            end = end.max(Some(exec));
+        });
+        end.map_or(0, |end| end - ctx.now)
     }
 
     fn name(&self) -> String {
@@ -156,7 +216,7 @@ mod tests {
         let net = topology::line(8);
         let mut ctx = BatchContext::fresh([(ObjectId(0), NodeId(0))]);
         ctx.now = 10;
-        ctx.fixed = vec![(txn(99, 4, &[0]), 14)];
+        ctx.fixed.insert(&txn(99, 4, &[0]), 14);
         let pending = vec![txn(0, 6, &[0])];
         let sched = ListScheduler::fifo().schedule(&net, &pending, &ctx);
         validate_batch_schedule(&net, &pending, &ctx, &sched).unwrap();

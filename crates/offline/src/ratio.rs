@@ -16,7 +16,7 @@
 //! live set are attained right after arrivals).
 
 use crate::lower_bound::batch_lower_bound;
-use crate::traits::BatchContext;
+use crate::traits::{BatchContext, FixedSet};
 use dtm_graph::{Network, NodeId};
 use dtm_model::{ObjectId, Time, Transaction, TxnId};
 use dtm_sim::{Event, RunResult};
@@ -104,7 +104,7 @@ pub fn competitive_ratio(network: &Network, result: &RunResult) -> RatioReport {
                 .iter()
                 .map(|(&o, &(node, ready))| (o, (node, ready.max(t))))
                 .collect(),
-            fixed: Vec::new(),
+            fixed: FixedSet::default(),
         };
         let lb = batch_lower_bound(network, &live, &ctx).combined();
         let ratio = worst_latency as f64 / lb as f64;

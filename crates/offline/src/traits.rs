@@ -5,10 +5,121 @@ use dtm_graph::{Network, NodeId, Weight};
 use dtm_model::{ObjectId, Schedule, Time, Transaction, TxnId};
 use std::collections::BTreeMap;
 
+/// One fixed user of an object: a transaction of `T_t^s` that accesses
+/// the object, with its fixed execution time and its home.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct FixedUser {
+    /// Fixed execution time.
+    pub exec: Time,
+    /// The transaction.
+    pub txn: TxnId,
+    /// Where it executes (and so where it leaves the object).
+    pub home: NodeId,
+}
+
+/// The fixed schedule `T_t^s`, held as one timeline per object: for each
+/// object, its fixed users sorted by `(exec, txn)`. A probe that places
+/// a few transactions reads only their objects' timelines, so its cost
+/// does not grow with the size of the fixed set.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct FixedSet {
+    /// Per object: fixed users in `(exec, txn)` order; never empty.
+    by_object: BTreeMap<ObjectId, Vec<FixedUser>>,
+    /// Per transaction: its execution time and objects, for `remove`.
+    by_txn: BTreeMap<TxnId, (Time, Vec<ObjectId>)>,
+}
+
+impl FixedSet {
+    /// Fix `txn` at `exec`. A transaction already in the set is left as
+    /// it is, so inserting the same decision twice is a no-op.
+    pub fn insert(&mut self, txn: &Transaction, exec: Time) {
+        if let Some(&(fixed_at, _)) = self.by_txn.get(&txn.id) {
+            debug_assert_eq!(fixed_at, exec, "{} fixed at two times", txn.id);
+            return;
+        }
+        let user = FixedUser {
+            exec,
+            txn: txn.id,
+            home: txn.home,
+        };
+        for o in txn.objects() {
+            let users = self.by_object.entry(o).or_default();
+            if let Err(pos) = users.binary_search(&user) {
+                users.insert(pos, user);
+            }
+        }
+        self.by_txn.insert(txn.id, (exec, txn.objects().collect()));
+    }
+
+    /// Drop transaction `id` (committed or aborted); absent ids are
+    /// ignored.
+    pub fn remove(&mut self, id: TxnId) {
+        let Some((exec, objects)) = self.by_txn.remove(&id) else {
+            return;
+        };
+        for o in objects {
+            if let Some(users) = self.by_object.get_mut(&o) {
+                if let Ok(pos) = users.binary_search_by_key(&(exec, id), |u| (u.exec, u.txn)) {
+                    users.remove(pos);
+                }
+                if users.is_empty() {
+                    self.by_object.remove(&o);
+                }
+            }
+        }
+    }
+
+    /// Keep only the transactions for which `keep` holds.
+    pub fn retain(&mut self, mut keep: impl FnMut(TxnId) -> bool) {
+        let gone: Vec<TxnId> = self
+            .by_txn
+            .keys()
+            .copied()
+            .filter(|&id| !keep(id))
+            .collect();
+        for id in gone {
+            self.remove(id);
+        }
+    }
+
+    /// The fixed users of object `o`, in `(exec, txn)` order.
+    pub fn users(&self, o: ObjectId) -> &[FixedUser] {
+        self.by_object.get(&o).map_or(&[], Vec::as_slice)
+    }
+
+    /// Every object with at least one fixed user, with its users, in
+    /// object order.
+    pub fn timelines(&self) -> impl Iterator<Item = (ObjectId, &[FixedUser])> {
+        self.by_object
+            .iter()
+            .map(|(&o, users)| (o, users.as_slice()))
+    }
+
+    /// Number of fixed transactions.
+    pub fn len(&self) -> usize {
+        self.by_txn.len()
+    }
+
+    /// True when nothing is fixed.
+    pub fn is_empty(&self) -> bool {
+        self.by_txn.is_empty()
+    }
+}
+
+impl<'a> FromIterator<(&'a Transaction, Time)> for FixedSet {
+    fn from_iter<I: IntoIterator<Item = (&'a Transaction, Time)>>(iter: I) -> Self {
+        let mut set = FixedSet::default();
+        for (txn, exec) in iter {
+            set.insert(txn, exec);
+        }
+        set
+    }
+}
+
 /// Everything a batch scheduler may assume about the world at `now`:
 /// where each object is (or will be) available, and which transactions
 /// already have immutable execution times (the paper's `T_t^s`).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BatchContext {
     /// Current time.
     pub now: Time,
@@ -18,7 +129,7 @@ pub struct BatchContext {
     pub object_avail: BTreeMap<ObjectId, (NodeId, Time)>,
     /// Already-scheduled, uncommitted transactions with their fixed
     /// execution times. New schedules must not disturb these.
-    pub fixed: Vec<(Transaction, Time)>,
+    pub fixed: FixedSet,
 }
 
 impl BatchContext {
@@ -31,31 +142,41 @@ impl BatchContext {
                 .into_iter()
                 .map(|(o, v)| (o, (v, 0)))
                 .collect(),
-            fixed: Vec::new(),
+            fixed: FixedSet::default(),
         }
     }
-}
 
-/// Project object availability *after* the fixed transactions execute:
-/// fold each object's fixed users in execution order (the paper's first
-/// basic modification — new transactions are appended after the already
-/// scheduled ones).
-pub fn object_release(network: &Network, ctx: &BatchContext) -> BTreeMap<ObjectId, (NodeId, Time)> {
-    let mut avail = ctx.object_avail.clone();
-    let mut fixed: Vec<&(Transaction, Time)> = ctx.fixed.iter().collect();
-    fixed.sort_by_key(|(t, time)| (*time, t.id));
-    for (txn, exec) in fixed {
-        for o in txn.objects() {
-            let entry = avail.entry(o).or_insert((txn.home, *exec));
-            let travel = network.distance(entry.0, txn.home);
+    /// Where and when object `o` is free *after* its fixed users execute
+    /// (the paper's first basic modification: new transactions are
+    /// appended after the already scheduled ones). Folds `o`'s users in
+    /// `(exec, txn)` order from `object_avail[o]`; an object missing from
+    /// `object_avail` starts at its first fixed user. `None` when the
+    /// object is neither available nor used.
+    ///
+    /// Each object's fold reads only its own users, so folding one object
+    /// gives the same answer as folding the whole fixed set in
+    /// `(exec, txn)` order and reading that object's entry.
+    pub fn release(&self, network: &Network, o: ObjectId) -> Option<(NodeId, Time)> {
+        let users = self.fixed.users(o);
+        let mut at = match self.object_avail.get(&o) {
+            Some(&avail) => avail,
+            None => users.first().map(|u| (u.home, u.exec))?,
+        };
+        for u in users {
+            let travel = network.distance(at.0, u.home);
             // If the fixed schedule is feasible, exec >= ready + travel;
             // take max defensively so release projections never go back in
             // time.
-            let ready = (entry.1 + travel).max(*exec);
-            *entry = (txn.home, ready);
+            at = (u.home, (at.1 + travel).max(u.exec));
         }
+        Some(at)
     }
-    avail
+
+    /// Whether object `o` has a fixed user (a handoff from it then pays
+    /// the >= 1 serialization gap even at distance 0).
+    pub fn has_fixed_user(&self, o: ObjectId) -> bool {
+        !self.fixed.users(o).is_empty()
+    }
 }
 
 /// An offline batch scheduling algorithm `𝒜`.
@@ -127,24 +248,32 @@ pub fn validate_batch_schedule(
         ));
     }
 
-    // Combined timeline: fixed + pending, per object, by execution time.
+    // Combined timeline per object: its fixed users, then the pending
+    // ones, sorted by execution time.
     struct User {
         txn: TxnId,
         home: NodeId,
         exec: Time,
     }
-    let mut per_object: BTreeMap<ObjectId, Vec<User>> = BTreeMap::new();
-    for (txn, exec) in ctx
+    let mut per_object: BTreeMap<ObjectId, Vec<User>> = ctx
         .fixed
-        .iter()
-        .map(|(t, e)| (t, *e))
-        // dtm-lint: allow(C1) -- list_schedule assigned every pending transaction just above
-        .chain(pending.iter().map(|t| (t, schedule.get(t.id).unwrap())))
-    {
-        for o in txn.objects() {
+        .timelines()
+        .map(|(o, users)| {
+            let users = users.iter().map(|u| User {
+                txn: u.txn,
+                home: u.home,
+                exec: u.exec,
+            });
+            (o, users.collect())
+        })
+        .collect();
+    for t in pending {
+        // dtm-lint: allow(C1) -- coverage of every pending transaction is checked above
+        let exec = schedule.get(t.id).unwrap();
+        for o in t.objects() {
             per_object.entry(o).or_default().push(User {
-                txn: txn.id,
-                home: txn.home,
+                txn: t.id,
+                home: t.home,
                 exec,
             });
         }
@@ -205,25 +334,58 @@ mod tests {
     }
 
     #[test]
-    fn object_release_folds_fixed() {
+    fn release_folds_fixed() {
         let net = topology::line(6);
         let mut ctx = BatchContext::fresh([(ObjectId(0), NodeId(0))]);
-        ctx.fixed = vec![(txn(0, 3, &[0]), 3), (txn(1, 5, &[0]), 5)];
-        let rel = object_release(&net, &ctx);
+        ctx.fixed = [(&txn(0, 3, &[0]), 3), (&txn(1, 5, &[0]), 5)]
+            .into_iter()
+            .collect();
         // After T0 at n3 (t=3), the hop to n5 needs 2 steps but T1 is fixed
         // at 5: release is (n5, 5).
-        assert_eq!(rel[&ObjectId(0)], (NodeId(5), 5));
+        assert_eq!(ctx.release(&net, ObjectId(0)), Some((NodeId(5), 5)));
     }
 
     #[test]
-    fn object_release_defensive_max() {
+    fn release_defensive_max() {
         let net = topology::line(6);
         let mut ctx = BatchContext::fresh([(ObjectId(0), NodeId(0))]);
         // Infeasible fixed time (1 < distance 3): projection must not go
         // backwards.
-        ctx.fixed = vec![(txn(0, 3, &[0]), 1)];
-        let rel = object_release(&net, &ctx);
-        assert_eq!(rel[&ObjectId(0)], (NodeId(3), 3));
+        ctx.fixed.insert(&txn(0, 3, &[0]), 1);
+        assert_eq!(ctx.release(&net, ObjectId(0)), Some((NodeId(3), 3)));
+    }
+
+    #[test]
+    fn release_of_unknown_object_starts_at_first_user() {
+        let net = topology::line(6);
+        let mut ctx = BatchContext::fresh([]);
+        assert_eq!(ctx.release(&net, ObjectId(7)), None);
+        ctx.fixed.insert(&txn(0, 2, &[7]), 4);
+        ctx.fixed.insert(&txn(1, 5, &[7]), 6);
+        // First user's (home, exec) seeds the fold; the hop n2 -> n5 takes
+        // 3 steps, so release is (n5, 7).
+        assert_eq!(ctx.release(&net, ObjectId(7)), Some((NodeId(5), 7)));
+        assert!(ctx.has_fixed_user(ObjectId(7)));
+        assert!(!ctx.has_fixed_user(ObjectId(0)));
+    }
+
+    #[test]
+    fn fixed_set_insert_is_idempotent_and_remove_prunes() {
+        let mut fixed = FixedSet::default();
+        let a = txn(0, 1, &[0, 1]);
+        let b = txn(1, 2, &[1]);
+        fixed.insert(&b, 3);
+        fixed.insert(&a, 5);
+        fixed.insert(&a, 5);
+        assert_eq!(fixed.len(), 2);
+        let order: Vec<TxnId> = fixed.users(ObjectId(1)).iter().map(|u| u.txn).collect();
+        assert_eq!(order, vec![TxnId(1), TxnId(0)]);
+        fixed.remove(TxnId(0));
+        assert!(fixed.users(ObjectId(0)).is_empty());
+        assert_eq!(fixed.timelines().count(), 1);
+        fixed.retain(|_| false);
+        assert!(fixed.is_empty());
+        assert_eq!(fixed, FixedSet::default());
     }
 
     #[test]
@@ -281,7 +443,7 @@ mod tests {
         let net = topology::line(8);
         let mut ctx = BatchContext::fresh([(ObjectId(0), NodeId(0))]);
         // Fixed txn holds the object at node 5 until t=5.
-        ctx.fixed = vec![(txn(9, 5, &[0]), 5)];
+        ctx.fixed.insert(&txn(9, 5, &[0]), 5);
         let pending = vec![txn(0, 7, &[0])];
         // From n5 at t=5, distance 2: earliest feasible is 7.
         let bad: Schedule = [(TxnId(0), 6)].into_iter().collect();

@@ -8,7 +8,7 @@
 //! graphs — experiment E12 measures exactly that gap.
 
 use crate::list::list_schedule_in_order;
-use crate::traits::{object_release, BatchContext, BatchScheduler};
+use crate::traits::{BatchContext, BatchScheduler};
 use dtm_graph::{Network, NodeId};
 use dtm_model::{ObjectId, Schedule, Transaction, TxnId};
 use std::collections::BTreeMap;
@@ -46,7 +46,6 @@ impl BatchScheduler for TspScheduler {
         pending: &[Transaction],
         ctx: &BatchContext,
     ) -> Schedule {
-        let releases = object_release(network, ctx);
         // Per object: NN tour over requesters from the object's position.
         let mut requesters: BTreeMap<ObjectId, Vec<(TxnId, NodeId)>> = BTreeMap::new();
         for t in pending {
@@ -56,7 +55,7 @@ impl BatchScheduler for TspScheduler {
         }
         let mut tour_rank: BTreeMap<(ObjectId, TxnId), usize> = BTreeMap::new();
         for (o, stops) in &requesters {
-            let start = releases.get(o).map(|&(v, _)| v).unwrap_or(stops[0].1);
+            let start = ctx.release(network, *o).map_or(stops[0].1, |(v, _)| v);
             for (txn, r) in nn_tour(network, start, stops) {
                 tour_rank.insert((*o, txn), r);
             }
